@@ -3,15 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "runtime/spsc_ring.h"
 #include "runtime/thread_pool.h"
 
 namespace cloudrepro::core {
@@ -42,98 +40,6 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) noexcept {
 bool cancelled(const CampaignOptions& options) noexcept {
   return options.cancel && options.cancel->load(std::memory_order_relaxed);
 }
-
-/// Handoff from the measurement workers to the single journal-writer
-/// (coordinating) thread: one SPSC ring per pool worker, keyed by
-/// `ThreadPool::current_worker_index()`, so each ring has exactly one
-/// producer (that worker) and one consumer (the writer). The producer fast
-/// path is lock-free and allocation-free; a full ring yields until the
-/// writer drains — bounded, because the writer never sleeps while
-/// `pending() > 0`. The `campaign.journal_queue_depth` histogram samples
-/// this structure's combined occupancy.
-template <typename T>
-class JournalHandoff {
- public:
-  /// `mu`/`cv` are the campaign driver's completion channel; the handoff
-  /// borrows them for its sleep/wake protocol so one wait covers both
-  /// "a record arrived" and "a task finished".
-  JournalHandoff(int workers, std::mutex& mu, std::condition_variable& cv)
-      : mu_{mu}, cv_{cv} {
-    rings_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      rings_.push_back(std::make_unique<runtime::SpscRing<T>>(kRingCapacity));
-    }
-  }
-
-  /// Producer side. `worker` is the producer's index within the pool; -1
-  /// (not a pool worker) falls back to the mutex-guarded overflow queue.
-  void push(int worker, T value) {
-    // Count before the ring store: the consumer's decrement can then never
-    // outrun the increment (pop implies the matching add already happened),
-    // so `pending_` cannot underflow.
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    if (worker >= 0 && static_cast<std::size_t>(worker) < rings_.size()) {
-      auto& ring = *rings_[static_cast<std::size_t>(worker)];
-      while (!ring.try_push(value)) std::this_thread::yield();
-    } else {
-      std::lock_guard<std::mutex> lock{mu_};
-      overflow_.push_back(std::move(value));
-    }
-    // Dekker pair with the writer's sleep path: this thread stored
-    // `pending_` (seq_cst) before this load; the writer stores
-    // `consumer_waiting_` (seq_cst) before re-checking `pending_`.
-    // Whichever ran second sees the other, so a handed-off record is never
-    // stranded with the writer asleep. Lock-then-notify so a writer between
-    // its predicate check and its wait cannot miss the signal.
-    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock{mu_};
-      cv_.notify_one();
-    }
-  }
-
-  /// Consumer side: appends everything currently handed off to `out` and
-  /// returns how many elements were taken.
-  std::size_t drain(std::vector<T>& out) {
-    const std::size_t before = out.size();
-    for (auto& ring : rings_) {
-      T value;
-      while (ring->try_pop(value)) out.push_back(std::move(value));
-    }
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      while (!overflow_.empty()) {
-        out.push_back(std::move(overflow_.front()));
-        overflow_.pop_front();
-      }
-    }
-    const std::size_t taken = out.size() - before;
-    if (taken > 0) pending_.fetch_sub(taken, std::memory_order_seq_cst);
-    return taken;
-  }
-
-  /// Records handed off but not yet drained (ring + overflow occupancy,
-  /// counting a push already announced but still being stored).
-  std::size_t pending() const noexcept {
-    return pending_.load(std::memory_order_seq_cst);
-  }
-
-  void set_waiting(bool waiting) noexcept {
-    consumer_waiting_.store(waiting, std::memory_order_seq_cst);
-  }
-
- private:
-  /// Per-worker depth. Journal records are small; 256 in flight per worker
-  /// means the writer is the bottleneck and backpressure is the right
-  /// answer anyway.
-  static constexpr std::size_t kRingCapacity = 256;
-
-  std::vector<std::unique_ptr<runtime::SpscRing<T>>> rings_;
-  std::deque<T> overflow_;  ///< Non-worker producers; guarded by mu_.
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> consumer_waiting_{false};
-  std::mutex& mu_;
-  std::condition_variable& cv_;
-};
 
 }  // namespace
 
@@ -286,392 +192,220 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     if (replay.valid_bytes == 0) journal->append(header + "\n");
   }
 
-  // An external pool (cloudrepro suite's shared thread budget) overrides
-  // the `threads` knob; with one the parallel driver runs even at a single
-  // worker, since the caller owns the scheduling decision.
-  const int worker_threads =
-      options.pool ? options.pool->thread_count()
-                   : runtime::ThreadPool::resolve_thread_count(options.threads);
-  const bool parallel_driver = options.pool != nullptr || worker_threads > 1;
-  bool budget_exhausted = false;
-  if (options.adaptive.enabled) {
-    // Adaptive CONFIRM stopping. Each cell's repetitions must run in order
-    // (the stopping rule is evaluated after every measurement, and the next
-    // repetition may never exist), so the unit of parallelism is the cell:
-    // one sequential task per cell, in execution order. The executed set is
-    // a per-cell repetition *prefix* at any interruption point, which is
-    // what keeps resume bit-identical across thread counts — the monitor is
-    // a pure function of the cell's value sequence, so replaying the prefix
-    // re-derives the same stop decision the journal recorded.
-    const int cap = options.repetitions_per_cell;
-    std::atomic<int> budget{options.max_measurements};
-    std::atomic<bool> interrupted{false};
-    const auto claim_budget = [&]() -> bool {
-      if (options.max_measurements <= 0) return true;
-      int cur = budget.load(std::memory_order_relaxed);
-      while (cur > 0) {
-        if (budget.compare_exchange_weak(cur, cur - 1,
-                                         std::memory_order_relaxed)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Runs one cell to its stop point (convergence, cap, budget, or
-    // cancellation), appending each record via `emit` — the journal seam
-    // that differs between the serial and parallel drivers. Returns the
-    // number of measurements replayed from the journal.
-    const auto run_cell = [&](std::size_t idx,
-                              const std::function<void(std::string)>& emit)
-        -> std::size_t {
-      ConfirmMonitor monitor{options.adaptive};
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(cap));
-      std::size_t resumed = 0;
-      const bool stop_journaled = stops.find(idx) != stops.end();
-      for (int r = 0; r < cap; ++r) {
-        double value = 0.0;
-        bool from_journal = false;
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          value = it->second;
-          from_journal = true;
-        } else {
-          if (!claim_budget() || cancelled(options)) {
-            interrupted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-          cells[idx].fresh();
-          stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-          value = cells[idx].run_once(rep_rng);
-          CLOUDREPRO_OBS_STMT(
-              const double m_dur = wall_s() - m_start;
-              if (h_cell_wall) h_cell_wall->observe(m_dur);
-              if (c_executed) c_executed->add();
-              if (tracer) {
-                tracer->complete(m_start, m_dur, "campaign", "measurement",
-                                 {"cell", static_cast<double>(idx)},
-                                 {"rep", static_cast<double>(r)},
-                                 static_cast<std::uint32_t>(idx), 0);
-              })
-        }
-        out.values.push_back(value);
-        if (from_journal) {
-          ++resumed;
-        } else {
-          emit(journal_line({idx, r, value}));
-        }
-        if (monitor.add(value)) {
-          // Re-emitting after a torn tail heals a lost stop record; when the
-          // record already replayed, the decision is simply re-derived.
-          if (!stop_journaled) {
-            emit(journal_line(journal_stop_record(
-                idx, static_cast<int>(monitor.stop_repetitions()))));
-          }
-          break;
-        }
-      }
-      out.adaptive_converged = monitor.converged();
-      out.stop_repetitions = monitor.stop_repetitions();
-      return resumed;
-    };
-
-    if (!parallel_driver) {
-      for (const auto idx : result.execution_order) {
-        result.resumed_measurements += run_cell(idx, [&](std::string line) {
-          if (journal) journal->append(line + "\n");
-        });
-        if (interrupted.load(std::memory_order_relaxed)) break;
-      }
-    } else {
-      // Cell tasks hand finished journal lines to this (coordinating)
-      // thread through per-worker SPSC rings; this thread is the single
-      // journal writer. A worker's terminal act is finished++/notify *under
-      // the mutex*, so once the writer observes finished == total while
-      // holding it, no worker can still touch this frame — which is what
-      // lets an external (suite-shared) pool outlive the campaign without a
-      // wait_idle() that would block on other campaigns' tasks.
-      std::mutex mu;
-      std::condition_variable cv;
-      std::atomic<std::size_t> finished{0};  // Cell tasks done.
-      std::size_t resumed_total = 0;         // Guarded by mu.
-      std::exception_ptr error;              // Guarded by mu.
-      JournalHandoff<std::string> handoff{worker_threads, mu, cv};
-
-      std::unique_ptr<runtime::ThreadPool> owned_pool;
-      runtime::ThreadPool* pool = options.pool;
-      if (!pool) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(worker_threads);
-        pool = owned_pool.get();
-      }
-
-      const std::size_t total = result.execution_order.size();
-      for (const auto idx : result.execution_order) {
-        pool->submit([&, idx, pool] {
-          try {
-            const std::size_t resumed =
-                run_cell(idx, [&, pool](std::string line) {
-                  handoff.push(pool->current_worker_index(), std::move(line));
-                });
-            std::lock_guard<std::mutex> lock{mu};
-            resumed_total += resumed;
-            finished.fetch_add(1, std::memory_order_seq_cst);
-            cv.notify_one();
-          } catch (...) {
-            std::lock_guard<std::mutex> lock{mu};
-            if (!error) error = std::current_exception();
-            finished.fetch_add(1, std::memory_order_seq_cst);
-            cv.notify_one();
-          }
-        });
-      }
-
-      std::exception_ptr writer_error;
-      std::vector<std::string> drained;
-      for (;;) {
-        drained.clear();
-        if (handoff.drain(drained) > 0) {
-          CLOUDREPRO_OBS_STMT(
-              if (h_queue_depth) {
-                h_queue_depth->observe(
-                    static_cast<double>(handoff.pending() + drained.size()));
-              })
-          for (auto& line : drained) {
-            if (journal && !writer_error) {
-              // A failed append must not abandon in-flight tasks (they
-              // reference this frame); keep consuming and surface the
-              // error after every task lands.
-              try {
-                journal->append(line + "\n");
-              } catch (...) {
-                writer_error = std::current_exception();
-              }
-            }
-          }
-          continue;
-        }
-        std::unique_lock<std::mutex> lock{mu};
-        if (finished.load(std::memory_order_seq_cst) == total &&
-            handoff.pending() == 0) {
-          break;
-        }
-        handoff.set_waiting(true);
-        cv.wait(lock, [&] {
-          return handoff.pending() > 0 ||
-                 finished.load(std::memory_order_seq_cst) == total;
-        });
-        handoff.set_waiting(false);
-      }
-      std::exception_ptr first_error;
-      {
-        std::lock_guard<std::mutex> lock{mu};
-        result.resumed_measurements += resumed_total;
-        first_error = error;
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      if (writer_error) std::rethrow_exception(writer_error);
+  // One execution path for every mode. A task runs one cell's repetitions
+  // [lo, hi) in order. An adaptive cell is a single task [0, cap) that its
+  // ConfirmMonitor may stop early: the stopping rule is evaluated after
+  // every measurement, so a cell's repetitions cannot run ahead of it, and
+  // the executed set stays a per-cell repetition prefix — which is what
+  // keeps resume bit-identical across thread counts. A fixed cell gives one
+  // single-repetition task per pending repetition; that list is built in
+  // execution order and cut to `max_measurements`, so the executed set is
+  // the serial prefix at any thread count.
+  struct Task {
+    std::size_t cell = 0;
+    int lo = 0;
+    int hi = 0;
+  };
+  const int cap = options.repetitions_per_cell;
+  std::vector<Task> tasks;
+  for (const auto idx : result.execution_order) {
+    if (options.adaptive.enabled) {
+      tasks.push_back({idx, 0, cap});
+      continue;
     }
-    budget_exhausted = interrupted.load(std::memory_order_relaxed);
-  } else if (!parallel_driver) {
-    // Serial reference path: executes pending measurements in execution
-    // order, interleaving journal replays in place.
-    int executed = 0;
-    for (const auto idx : result.execution_order) {
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(options.repetitions_per_cell));
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          out.values.push_back(it->second);
-          ++result.resumed_measurements;
-          continue;
-        }
-        if ((options.max_measurements > 0 &&
-             executed >= options.max_measurements) ||
-            cancelled(options)) {
-          budget_exhausted = true;
+    for (int r = 0; r < cap; ++r) {
+      if (done.find({idx, r}) == done.end()) tasks.push_back({idx, r, r + 1});
+    }
+  }
+  if (!options.adaptive.enabled && options.max_measurements > 0 &&
+      tasks.size() > static_cast<std::size_t>(options.max_measurements)) {
+    tasks.resize(static_cast<std::size_t>(options.max_measurements));
+  }
+
+  // Fresh values and stop decisions land in per-cell slots: tasks never
+  // write the same slot, and assembly below reads them in grid order.
+  struct CellRun {
+    std::vector<std::optional<double>> values;
+    bool converged = false;
+    std::size_t stop_repetitions = 0;
+  };
+  std::vector<CellRun> runs(cells.size());
+  for (const auto& task : tasks) {
+    runs[task.cell].values.resize(static_cast<std::size_t>(cap));
+  }
+
+  std::atomic<int> budget{options.max_measurements};
+  const auto claim_budget = [&]() -> bool {
+    if (options.max_measurements <= 0) return true;
+    int cur = budget.load(std::memory_order_relaxed);
+    while (cur > 0) {
+      if (budget.compare_exchange_weak(cur, cur - 1, std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // Runs one task until its range ends, its cell converges, or the budget
+  // or cancellation stops it, handing each journal record to `emit`. Returns
+  // false when it was stopped before its range ended.
+  const auto run_task = [&](const Task& task, const auto& emit) -> bool {
+    auto& run = runs[task.cell];
+    std::optional<ConfirmMonitor> monitor;
+    if (options.adaptive.enabled) monitor.emplace(options.adaptive);
+    bool ran_out = false;
+    for (int r = task.lo; r < task.hi; ++r) {
+      double value = 0.0;
+      if (const auto it = done.find({task.cell, r}); it != done.end()) {
+        value = it->second;
+      } else {
+        if (!claim_budget() || cancelled(options)) {
+          ran_out = true;
           break;
         }
         CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-        cells[idx].fresh();
-        stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-        const double value = cells[idx].run_once(rep_rng);
+        cells[task.cell].fresh();
+        stats::Rng rep_rng{campaign_repetition_seed(seed, task.cell, r)};
+        value = cells[task.cell].run_once(rep_rng);
         CLOUDREPRO_OBS_STMT(
             const double m_dur = wall_s() - m_start;
             if (h_cell_wall) h_cell_wall->observe(m_dur);
             if (c_executed) c_executed->add();
             if (tracer) {
               tracer->complete(m_start, m_dur, "campaign", "measurement",
-                               {"cell", static_cast<double>(idx)},
+                               {"cell", static_cast<double>(task.cell)},
                                {"rep", static_cast<double>(r)},
-                               static_cast<std::uint32_t>(idx), 0);
+                               static_cast<std::uint32_t>(task.cell), 0);
             })
-        out.values.push_back(value);
-        ++executed;
-        if (journal) journal->append(journal_line({idx, r, value}) + "\n");
+        run.values[static_cast<std::size_t>(r)] = value;
+        emit({task.cell, r, value});
       }
-      if (budget_exhausted) break;
-    }
-  } else {
-    // Parallel path. The pending task list is built in serial execution
-    // order and truncated to `max_measurements`, so the *set* of executed
-    // measurements matches the serial path exactly; each task derives its
-    // own repetition seed, so every value matches too. Workers hand
-    // completed values to this (coordinating) thread, which is the single
-    // journal writer, appending entries in completion order.
-    struct PendingTask {
-      std::size_t cell = 0;
-      int rep = 0;
-    };
-    std::vector<PendingTask> pending;
-    for (const auto idx : result.execution_order) {
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (done.find({idx, r}) == done.end()) pending.push_back({idx, r});
-      }
-    }
-    if (options.max_measurements > 0 &&
-        pending.size() > static_cast<std::size_t>(options.max_measurements)) {
-      pending.resize(static_cast<std::size_t>(options.max_measurements));
-      budget_exhausted = true;
-    }
-
-    std::vector<double> task_values(pending.size());
-    std::vector<char> task_ran(pending.size(), 0);
-    if (!pending.empty()) {
-      // Workers hand completed task indices to this (coordinating) thread
-      // through per-worker SPSC rings; this thread is the single journal
-      // writer, appending records in drain order. `task_values[t]` is
-      // written before the ring push and read after the pop, so the ring's
-      // release/acquire pair publishes it — no lock on the value path. As
-      // in the adaptive driver, a worker's terminal act is finished++/
-      // notify under the mutex, so observing finished == total while
-      // holding it proves no worker still references this frame (external
-      // pools are never wait_idle()d).
-      std::mutex mu;
-      std::condition_variable cv;
-      std::atomic<std::size_t> finished{0};  // Tasks done, success or failure.
-      std::exception_ptr error;              // Guarded by mu.
-      JournalHandoff<std::size_t> handoff{worker_threads, mu, cv};
-
-      std::unique_ptr<runtime::ThreadPool> owned_pool;
-      runtime::ThreadPool* pool = options.pool;
-      if (!pool) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(worker_threads);
-        pool = owned_pool.get();
-      }
-
-      const std::size_t total = pending.size();
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        pool->submit([&, t, pool] {
-          // Cooperative cancellation: once the flag is set, queued tasks
-          // drain without running. In-flight measurements finish and
-          // journal normally; resume picks up whatever subset completed.
-          if (!cancelled(options)) {
-            try {
-              const auto [idx, r] = pending[t];
-              CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-              cells[idx].fresh();
-              stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-              const double value = cells[idx].run_once(rep_rng);
-              CLOUDREPRO_OBS_STMT(
-                  const double m_dur = wall_s() - m_start;
-                  if (h_cell_wall) h_cell_wall->observe(m_dur);
-                  if (c_executed) c_executed->add();
-                  if (tracer) {
-                    tracer->complete(m_start, m_dur, "campaign", "measurement",
-                                     {"cell", static_cast<double>(idx)},
-                                     {"rep", static_cast<double>(r)},
-                                     static_cast<std::uint32_t>(idx), 0);
-                  })
-              task_values[t] = value;
-              task_ran[t] = 1;
-              handoff.push(pool->current_worker_index(), t);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock{mu};
-              if (!error) error = std::current_exception();
-            }
-          }
-          std::lock_guard<std::mutex> lock{mu};
-          finished.fetch_add(1, std::memory_order_seq_cst);
-          cv.notify_one();
-        });
-      }
-
-      std::exception_ptr writer_error;
-      std::vector<std::size_t> drained;
-      for (;;) {
-        drained.clear();
-        if (handoff.drain(drained) > 0) {
-          // Ring occupancy at this drain: how far the workers have run
-          // ahead of the single journal writer.
-          CLOUDREPRO_OBS_STMT(
-              if (h_queue_depth) {
-                h_queue_depth->observe(
-                    static_cast<double>(handoff.pending() + drained.size()));
-              })
-          for (const std::size_t t : drained) {
-            if (journal && !writer_error) {
-              const PendingTask task = pending[t];
-              try {
-                journal->append(
-                    journal_line({task.cell, task.rep, task_values[t]}) + "\n");
-              } catch (...) {
-                writer_error = std::current_exception();
-              }
-            }
-          }
-          continue;
+      if (monitor && monitor->add(value)) {
+        // Re-emitting after a torn tail heals a lost stop record; when the
+        // record already replayed, the decision is simply re-derived.
+        if (stops.find(task.cell) == stops.end()) {
+          emit(journal_stop_record(task.cell,
+                                   static_cast<int>(monitor->stop_repetitions())));
         }
-        std::unique_lock<std::mutex> lock{mu};
-        if (finished.load(std::memory_order_seq_cst) == total &&
-            handoff.pending() == 0) {
-          break;
-        }
-        handoff.set_waiting(true);
-        cv.wait(lock, [&] {
-          return handoff.pending() > 0 ||
-                 finished.load(std::memory_order_seq_cst) == total;
-        });
-        handoff.set_waiting(false);
-      }
-      std::exception_ptr first_error;
-      {
-        std::lock_guard<std::mutex> lock{mu};
-        first_error = error;
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      if (writer_error) std::rethrow_exception(writer_error);
-    }
-
-    // Assemble in grid order from journal replays and freshly executed
-    // slots, reproducing the serial path's budget-cutoff semantics: the
-    // first measurement that is neither replayed nor executed marks the
-    // interruption point.
-    std::map<std::pair<std::size_t, int>, double> fresh_values;
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      if (task_ran[t]) {
-        fresh_values[{pending[t].cell, pending[t].rep}] = task_values[t];
-      }
-    }
-    bool cut = false;
-    for (const auto idx : result.execution_order) {
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(options.repetitions_per_cell));
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          out.values.push_back(it->second);
-          ++result.resumed_measurements;
-          continue;
-        }
-        if (const auto it = fresh_values.find({idx, r}); it != fresh_values.end()) {
-          out.values.push_back(it->second);
-          continue;
-        }
-        cut = true;
         break;
       }
-      if (cut) break;
     }
+    if (monitor) {
+      run.converged = monitor->converged();
+      run.stop_repetitions = monitor->stop_repetitions();
+    }
+    return !ran_out;
+  };
+
+  // An external pool (cloudrepro suite's shared thread budget) overrides
+  // the `threads` knob; with one, tasks go to the pool even at a single
+  // worker, since the caller owns the scheduling decision.
+  const int worker_threads =
+      options.pool ? options.pool->thread_count()
+                   : runtime::ThreadPool::resolve_thread_count(options.threads);
+  if (tasks.empty() || (!options.pool && worker_threads == 1)) {
+    // Serial reference path: tasks run inline in execution order and append
+    // to the journal directly.
+    const auto append = [&](const JournalRecord& record) {
+      if (journal) journal->append(journal_line(record) + "\n");
+    };
+    for (const auto& task : tasks) {
+      if (!run_task(task, append)) break;
+    }
+  } else {
+    // Workers push finished journal lines into `lines`; this (coordinating)
+    // thread swaps them out and is the single journal writer. A worker's
+    // last act is finished++/notify under `mu`, so once this thread sees
+    // every task finished while holding it, no worker still touches this
+    // frame — which is what lets an external (suite-shared) pool outlive
+    // the campaign without a wait_idle() that would block on other
+    // campaigns' tasks.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::string> lines;  // Guarded by mu.
+    std::size_t finished = 0;        // Guarded by mu.
+    std::exception_ptr task_error;   // Guarded by mu.
+
+    std::unique_ptr<runtime::ThreadPool> owned_pool;
+    runtime::ThreadPool* pool = options.pool;
+    if (!pool) {
+      owned_pool = std::make_unique<runtime::ThreadPool>(worker_threads);
+      pool = owned_pool.get();
+    }
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      pool->submit([&, t] {
+        std::exception_ptr error;
+        try {
+          run_task(tasks[t], [&](const JournalRecord& record) {
+            std::string line = journal_line(record);
+            std::lock_guard<std::mutex> lock{mu};
+            lines.push_back(std::move(line));
+            cv.notify_one();
+          });
+        } catch (...) {
+          error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock{mu};
+        if (error && !task_error) task_error = error;
+        ++finished;
+        cv.notify_one();
+      });
+    }
+
+    std::exception_ptr writer_error;
+    std::vector<std::string> batch;
+    std::unique_lock<std::mutex> lock{mu};
+    for (;;) {
+      cv.wait(lock, [&] { return !lines.empty() || finished == tasks.size(); });
+      if (lines.empty()) break;
+      batch.swap(lines);
+      lock.unlock();
+      // Lines waiting at this drain: how far the workers have run ahead of
+      // the single journal writer.
+      CLOUDREPRO_OBS_STMT(
+          if (h_queue_depth) h_queue_depth->observe(static_cast<double>(batch.size()));)
+      for (const auto& line : batch) {
+        if (!journal || writer_error) break;
+        // A failed append must not abandon in-flight tasks (they reference
+        // this frame); keep draining and surface the error after every task
+        // lands.
+        try {
+          journal->append(line + "\n");
+        } catch (...) {
+          writer_error = std::current_exception();
+        }
+      }
+      batch.clear();
+      lock.lock();
+    }
+    if (task_error) std::rethrow_exception(task_error);
+    if (writer_error) std::rethrow_exception(writer_error);
+  }
+
+  // Grid-order assembly, shared by every mode: each cell takes its replayed
+  // and freshly measured repetitions in order, up to its stop point or the
+  // first one missing. The first cell left short (neither at the cap nor
+  // adaptively converged) is the interruption point; the cells after it
+  // stay empty, exactly as the serial path leaves them.
+  for (const auto idx : result.execution_order) {
+    auto& out = result.cells[idx];
+    const auto& run = runs[idx];
+    out.adaptive_converged = run.converged;
+    out.stop_repetitions = run.stop_repetitions;
+    const int last = run.converged ? static_cast<int>(run.stop_repetitions) : cap;
+    out.values.reserve(static_cast<std::size_t>(last));
+    for (int r = 0; r < last; ++r) {
+      if (const auto it = done.find({idx, r}); it != done.end()) {
+        out.values.push_back(it->second);
+        ++result.resumed_measurements;
+      } else if (static_cast<std::size_t>(r) < run.values.size() &&
+                 run.values[static_cast<std::size_t>(r)]) {
+        out.values.push_back(*run.values[static_cast<std::size_t>(r)]);
+      } else {
+        break;
+      }
+    }
+    if (out.values.size() < static_cast<std::size_t>(last)) break;
   }
 
   if (journal) {

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "faults/fault_plan.h"
-#include "runtime/calendar_queue.h"
+#include "runtime/event_heap.h"
 
 namespace cloudrepro::obs {
 class Tracer;
@@ -18,10 +18,9 @@ namespace cloudrepro::faults {
 ///
 /// The injector is the one place that decides *when* the next fault fires;
 /// the consumer (the engine) decides *what* it does to the cluster. Events
-/// due at the same instant pop in scheduling order — the calendar queue
-/// tie-breaks on its internal push sequence — so replay is deterministic:
-/// the pop order is a pure function of the schedule order, exactly as with
-/// the explicit (at_s, seq) heap this replaced.
+/// due at the same instant pop in scheduling order — the event heap
+/// tie-breaks on its push sequence — so replay is deterministic: the pop
+/// order is a pure function of the schedule order.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -51,9 +50,7 @@ class FaultInjector {
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
  private:
-  /// Fault plans tick on the hours-scale horizon; seconds-wide buckets are
-  /// a reasonable seed and the calendar re-tunes itself on growth.
-  runtime::CalendarQueue<FaultEvent> queue_{60.0};
+  runtime::EventHeap<FaultEvent> queue_;
   obs::Tracer* tracer_ = nullptr;
 };
 

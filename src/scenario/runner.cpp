@@ -369,7 +369,7 @@ SuiteRunResult run_suite(const std::vector<ScenarioSpec>& specs,
   }
 
   // One coordinator thread per member: it holds the member's single-flight
-  // lock, writes its journal (draining the campaign's SPSC handoff rings),
+  // lock, writes its journal (the campaign's single journal writer),
   // and builds its summary, while the measurement tasks themselves all run
   // on the shared pool. Coordinators must be dedicated threads, not pool
   // tasks — a coordinator blocks waiting for its campaign's cells, and a

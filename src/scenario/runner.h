@@ -49,8 +49,8 @@ struct RunOptions {
   int threads = 1;
   /// External worker pool shared across scenarios — `run_suite`'s thread
   /// budget. When set it overrides `threads` and the campaign submits its
-  /// (cell, repetition) tasks there; the pool's work-stealing deques keep
-  /// every worker busy even when one scenario's cells finish early. Never
+  /// (cell, repetition) tasks there; its shared queue keeps every worker
+  /// busy even when one scenario's cells finish early. Never
   /// part of any cache key: scheduling does not change what a scenario
   /// computes.
   runtime::ThreadPool* pool = nullptr;
@@ -131,12 +131,12 @@ using SuiteMemberCallback =
 /// Runs every scenario of a suite against one shared thread budget.
 ///
 /// With an effective thread count of 1 (and no external pool) the members
-/// run serially in order — the byte-for-byte reference. Otherwise one
-/// work-stealing pool of `threads` workers is shared by all members: each
-/// member gets a coordinator thread (its single-flight admission, journal
-/// writing, and summary generation), and every member's (cell, repetition)
+/// run serially in order — the byte-for-byte reference. Otherwise one pool
+/// of `threads` workers is shared by all members: each member gets a
+/// coordinator thread (its single-flight admission, journal writing, and
+/// summary generation), and every member's (cell, repetition)
 /// tasks land in the same pool, so a scenario with long cells no longer
-/// serializes the suite behind it — idle workers steal the stragglers.
+/// serializes the suite behind it — idle workers take the stragglers.
 /// Because each campaign's values land in pre-assigned slots and summaries
 /// are pure functions of those values, `members` — and anything emitted via
 /// `on_member` — is byte-identical to the serial reference.

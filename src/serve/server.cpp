@@ -314,9 +314,12 @@ void ServerCore::handle_get(Connection& conn, const Request& request) {
     executor_->submit([this, spec = *spec, seed, key] {
       FlightOutcome outcome = execute(spec, seed);
       if (outcome.ok) count("serve.get_executed");
+      // Complete before the decrement: the flight's completions must be
+      // queued before inflight_ reads 0, or pump_until_idle()/drained() can
+      // see nothing in flight and nothing queued in between.
+      flights_.complete(key, outcome);
       const auto left = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
       metrics_.gauge("serve.queue_depth").set(static_cast<double>(left));
-      flights_.complete(key, outcome);
     });
   } else {
     count("serve.single_flight_coalesced");
@@ -511,9 +514,9 @@ void ServerCore::close_session(const std::string& key) {
       outcome.error_message = error.what();
     }
     if (outcome.ok) count("serve.get_executed");
+    flights_.complete(key, outcome);  // Before the decrement, as in handle_get.
     const auto left = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
     metrics_.gauge("serve.queue_depth").set(static_cast<double>(left));
-    flights_.complete(key, outcome);
   });
 }
 

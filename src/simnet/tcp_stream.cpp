@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "runtime/calendar_queue.h"
+#include "runtime/event_heap.h"
 #include "simnet/units.h"
 
 namespace cloudrepro::simnet {
@@ -38,12 +38,10 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
   TcpStreamResult result;
   result.duration_s = config.duration_s;
 
-  // Calendar queue over the in-flight window's ack/loss timers. Event
-  // spacing tracks the RTT scale, which seeds the bucket width; equal
+  // Event heap over the in-flight window's ack/loss timers. Equal
   // timestamps (e.g. a burst of tail drops detected together) pop in push
   // order, so the event flow is a pure function of the send sequence.
-  runtime::CalendarQueue<Event> events{
-      vnic.base_rtt_s > 0.0 ? vnic.base_rtt_s : 1e-3};
+  runtime::EventHeap<Event> events;
 
   double now = 0.0;
   double server_free_at = 0.0;   ///< Bottleneck queue: time the server drains.

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/campaign.h"
@@ -156,72 +158,90 @@ TEST_F(CampaignCrashTortureTest, DroppedFsyncStillResumesBitIdentical) {
 }
 
 TEST_F(CampaignCrashTortureTest, EnospcPropagatesAndResumeCompletes) {
-  auto options = torture_options();
-  options.journal_path = root_ / "journal.jsonl";
+  // At threads=4 the failing append happens on the single journal writer
+  // while other measurements are still in flight: the error must be kept
+  // until every task lands, then surface.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto options = torture_options();
+    options.threads = threads;
+    options.journal_path = root_ / ("journal-t" + std::to_string(threads) + ".jsonl");
 
-  io::FaultVfsOptions fault;
-  fault.enospc_after_bytes = 600;  // Enough for the header + a few records.
-  {
-    io::FaultVfs vfs{real_, fault};
-    options.vfs = &vfs;
-    try {
-      run_campaign(torture_cells(), options, kSeed);
-      FAIL() << "the journal write past the budget must surface ENOSPC";
-    } catch (const io::IoError& error) {
-      EXPECT_EQ(error.error_code(), ENOSPC);
+    io::FaultVfsOptions fault;
+    fault.enospc_after_bytes = 600;  // Enough for the header + a few records.
+    {
+      io::FaultVfs vfs{real_, fault};
+      options.vfs = &vfs;
+      try {
+        run_campaign(torture_cells(), options, kSeed);
+        FAIL() << "the journal write past the budget must surface ENOSPC";
+      } catch (const io::IoError& error) {
+        EXPECT_EQ(error.error_code(), ENOSPC);
+      }
     }
+
+    // The disk "recovers"; the journaled prefix is reused, not re-run.
+    io::FaultVfs vfs{real_};
+    options.vfs = &vfs;
+    const auto resumed = run_campaign(torture_cells(), options, kSeed);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_GT(resumed.resumed_measurements, 0u);
+
+    auto clean_opts = torture_options();
+    const auto clean = run_campaign(torture_cells(), clean_opts, kSeed);
+    EXPECT_EQ(csv_bytes(resumed), csv_bytes(clean));
   }
-
-  // The disk "recovers"; the journaled prefix is reused, not re-run.
-  io::FaultVfs vfs{real_};
-  options.vfs = &vfs;
-  const auto resumed = run_campaign(torture_cells(), options, kSeed);
-  ASSERT_TRUE(resumed.complete);
-  EXPECT_GT(resumed.resumed_measurements, 0u);
-
-  auto clean_opts = torture_options();
-  const auto clean = run_campaign(torture_cells(), clean_opts, kSeed);
-  EXPECT_EQ(csv_bytes(resumed), csv_bytes(clean));
 }
 
 TEST_F(CampaignCrashTortureTest, CancellationJournalsPrefixAndResumes) {
-  std::atomic<bool> cancel{false};
-  int executed = 0;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<bool> cancel{false};
+    std::atomic<int> executed{0};
 
-  // The cancel flag flips from inside the 5th measurement — the shape of a
-  // SIGINT arriving mid-campaign.
-  std::vector<CampaignCell> cells = torture_cells();
-  for (auto& cell : cells) {
-    auto inner = cell.run_once;
-    cell.run_once = [&cancel, &executed, inner](stats::Rng& rng) {
-      if (++executed == 5) cancel.store(true);
-      return inner(rng);
-    };
+    // The cancel flag flips from inside the 5th measurement — the shape of
+    // a SIGINT arriving mid-campaign.
+    std::vector<CampaignCell> cells = torture_cells();
+    for (auto& cell : cells) {
+      auto inner = cell.run_once;
+      cell.run_once = [&cancel, &executed, inner](stats::Rng& rng) {
+        if (++executed == 5) cancel.store(true);
+        return inner(rng);
+      };
+    }
+
+    auto options = torture_options();
+    options.threads = threads;
+    options.journal_path = root_ / ("journal-t" + std::to_string(threads) + ".jsonl");
+    options.cancel = &cancel;
+    const auto interrupted = run_campaign(std::move(cells), options, kSeed);
+    EXPECT_FALSE(interrupted.complete);
+    if (threads == 1) {
+      EXPECT_EQ(executed.load(), 5);
+    } else {
+      // Measurements already in flight on the other workers finish.
+      EXPECT_GE(executed.load(), 5);
+      EXPECT_LT(executed.load(), 5 + threads);
+    }
+
+    // Every executed measurement reached the journal before return.
+    auto& vfs = io::real_vfs();
+    const auto replay = replay_journal(
+        vfs, options.journal_path,
+        journal_header(torture_cells(), options, kSeed), 3,
+        options.repetitions_per_cell);
+    EXPECT_EQ(replay.done.size(), static_cast<std::size_t>(executed.load()));
+
+    auto resume_opts = torture_options();
+    resume_opts.journal_path = options.journal_path;
+    const auto resumed = run_campaign(torture_cells(), resume_opts, kSeed);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.resumed_measurements,
+              static_cast<std::size_t>(executed.load()));
+
+    const auto clean = run_campaign(torture_cells(), torture_options(), kSeed);
+    EXPECT_EQ(csv_bytes(resumed), csv_bytes(clean));
   }
-
-  auto options = torture_options();
-  options.journal_path = root_ / "journal.jsonl";
-  options.cancel = &cancel;
-  const auto interrupted = run_campaign(std::move(cells), options, kSeed);
-  EXPECT_FALSE(interrupted.complete);
-  EXPECT_EQ(executed, 5);
-
-  // Every executed measurement reached the journal before return.
-  auto& vfs = io::real_vfs();
-  const auto replay = replay_journal(
-      vfs, options.journal_path,
-      journal_header(torture_cells(), options, kSeed), 3,
-      options.repetitions_per_cell);
-  EXPECT_EQ(replay.done.size(), 5u);
-
-  auto resume_opts = torture_options();
-  resume_opts.journal_path = options.journal_path;
-  const auto resumed = run_campaign(torture_cells(), resume_opts, kSeed);
-  ASSERT_TRUE(resumed.complete);
-  EXPECT_EQ(resumed.resumed_measurements, 5u);
-
-  const auto clean = run_campaign(torture_cells(), torture_options(), kSeed);
-  EXPECT_EQ(csv_bytes(resumed), csv_bytes(clean));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Work-stealing suite scheduler: `run_suite` draws every member scenario's
+// Shared-pool suite scheduler: `run_suite` draws every member scenario's
 // (cell, repetition) tasks from one shared thread pool, yet its emitted
 // output must be byte-identical to the serial reference — at any thread
 // count, cold or cached. This is the `cloudrepro suite --threads N`
@@ -22,8 +22,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Two tiny two-cell scenarios with deliberately unequal work so the
-/// stealing path actually engages: member one's cells outlast member two's,
+/// Two tiny two-cell scenarios with deliberately unequal work so the shared
+/// pool actually matters: member one's cells outlast member two's,
 /// and idle workers must cross member boundaries to stay busy.
 std::vector<ScenarioSpec> tiny_suite() {
   ScenarioSpec heavy;
@@ -77,15 +77,15 @@ TEST_F(SuiteWorkStealingTest, OutputBytesIdenticalAcrossThreadCountsAndCache) {
   const std::string reference = emitted_bytes(specs, serial);
   ASSERT_FALSE(reference.empty());
 
-  // Work-stealing, cold: threads=4 against a fresh store.
+  // Shared pool, cold: threads=4 against a fresh store.
   ResultStore store{root_};
-  RunOptions stealing;
-  stealing.threads = 4;
-  stealing.store = &store;
-  EXPECT_EQ(emitted_bytes(specs, stealing), reference) << "cold, threads=4";
+  RunOptions shared;
+  shared.threads = 4;
+  shared.store = &store;
+  EXPECT_EQ(emitted_bytes(specs, shared), reference) << "cold, threads=4";
 
-  // Work-stealing, cached: every member served from the published summary.
-  EXPECT_EQ(emitted_bytes(specs, stealing), reference) << "cached, threads=4";
+  // Shared pool, cached: every member served from the published summary.
+  EXPECT_EQ(emitted_bytes(specs, shared), reference) << "cached, threads=4";
 
   // And threads=1 against the warm cache reads the same bytes back.
   RunOptions cached_serial;
@@ -134,8 +134,8 @@ TEST_F(SuiteWorkStealingTest, ExternalPoolIsSharedAndSurvivesTheSuite) {
 
 TEST_F(SuiteWorkStealingTest, AdaptiveMembersConvergeIdenticallyUnderStealing) {
   // Adaptive CONFIRM is the order-sensitive path: one sequential task per
-  // cell, stop decisions re-derived from the value prefix. Stealing across
-  // members must not change a single byte of it.
+  // cell, stop decisions re-derived from the value prefix. Sharing the pool
+  // across members must not change a single byte of it.
   auto specs = tiny_suite();
   for (auto& spec : specs) {
     spec.confirm.enabled = true;
@@ -147,9 +147,9 @@ TEST_F(SuiteWorkStealingTest, AdaptiveMembersConvergeIdenticallyUnderStealing) {
   serial.threads = 1;
   const std::string reference = emitted_bytes(specs, serial);
 
-  RunOptions stealing;
-  stealing.threads = 4;
-  EXPECT_EQ(emitted_bytes(specs, stealing), reference);
+  RunOptions shared;
+  shared.threads = 4;
+  EXPECT_EQ(emitted_bytes(specs, shared), reference);
 }
 
 TEST_F(SuiteWorkStealingTest, EmptySuiteIsANoOp) {
