@@ -53,16 +53,18 @@ cloudrepro_bench(bench_perf_micro)
 target_link_libraries(bench_perf_micro PRIVATE cloudrepro_scenario cloudrepro_serve benchmark::benchmark)
 
 # Perf trajectory: `cmake --build build --target bench-smoke` runs the
-# campaign/fluid/suite/serve/shard microbenches and records machine-readable
+# campaign/fluid/suite/serve microbenches and records machine-readable
 # results in ${CMAKE_BINARY_DIR}/BENCH_campaign.json — commit-over-commit
 # numbers come from diffing these files, not from eyeballing console output.
+# Each arm is sampled five times in random interleaving and recorded as
+# median/mean/stddev/cv aggregates: single samples drift with the host.
 #
 # Recording is Release-only: a debug-build JSON poisons the committed
 # trajectory (google-benchmark stamps library_build_type, but the *repo*
 # numbers would still be garbage). Override for local experiments with
 # -DCLOUDREPRO_BENCH_ALLOW_NONRELEASE=ON.
 set(CLOUDREPRO_BENCH_FILTER
-    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SuiteSharedPool|BM_ServeRequest|BM_ShardedCampaign")
+    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SuiteSharedPool|BM_ServeRequest")
 if(CMAKE_BUILD_TYPE STREQUAL "Release" OR CLOUDREPRO_BENCH_ALLOW_NONRELEASE)
   add_custom_target(bench-smoke
     COMMAND $<TARGET_FILE:bench_perf_micro>
@@ -70,6 +72,9 @@ if(CMAKE_BUILD_TYPE STREQUAL "Release" OR CLOUDREPRO_BENCH_ALLOW_NONRELEASE)
             # library_build_type reflects the *system* libbenchmark package;
             # repo_build_type is the build the numbers actually came from.
             "--benchmark_context=repo_build_type=${CMAKE_BUILD_TYPE}"
+            --benchmark_repetitions=5
+            --benchmark_report_aggregates_only=true
+            --benchmark_enable_random_interleaving=true
             --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_campaign.json
             --benchmark_out_format=json
     DEPENDS bench_perf_micro

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/campaign.h"
@@ -13,9 +12,10 @@
 namespace cloudrepro::shard {
 
 /// Sharded distributed campaigns: split a scenario grid's cells across
-/// worker processes (and machines), stream each worker's journal records
-/// back, and merge them into one journal whose bytes — and therefore whose
-/// summary — are identical to a single-node serial run.
+/// worker processes (and machines), each worker pulling the next pending
+/// cell in execution order; stream each worker's journal records back, and
+/// merge them into one journal whose bytes — and therefore whose summary —
+/// are identical to a single-node serial run.
 ///
 /// The whole design leans on one invariant from `core::run_campaign`: every
 /// measurement is a pure function of (cells, options, seed) via
@@ -49,19 +49,13 @@ class ShardMergeError : public std::runtime_error {
   std::string code_;
 };
 
-/// Deterministic owner shard for one cell: a hash of (entry key, cell
-/// index) mod `shards`. Stable across processes and machines — every
-/// participant derives the same partition without coordination.
-std::size_t shard_of(std::string_view entry_key, std::size_t cell,
-                     std::size_t shards) noexcept;
-
 /// Authoritative record set for one distributed campaign, owned by the
 /// coordinator. Accepts journal record lines in any arrival order and from
 /// any worker; answers resume prefixes for (re)assignment; decides per-cell
 /// and campaign completeness; and emits the canonical merged journal.
 ///
 /// Not thread-safe: the coordinator owns it on one thread (the serve
-/// reactor, or a mutex in the in-process driver).
+/// reactor).
 class ShardPlan {
  public:
   /// `cells` is only read for its labels (header) and count; the callables

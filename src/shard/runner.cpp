@@ -1,8 +1,7 @@
 #include "shard/runner.h"
 
-#include <condition_variable>
+#include <algorithm>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/confirm.h"
@@ -58,14 +57,12 @@ CellTaskResult run_cell_task(std::vector<core::CampaignCell>& cells,
       double value = 0.0;
       if (const auto it = done.find(r); it != done.end()) {
         value = it->second;
-        ++result.resumed;
       } else {
         if (cancelled(cancel)) return result;
         cells[idx].fresh();
         stats::Rng rep_rng{core::campaign_repetition_seed(seed, idx, r)};
         value = cells[idx].run_once(rep_rng);
         result.lines.push_back(core::journal_line({idx, r, value}));
-        ++result.executed;
       }
       if (monitor.add(value)) {
         // Re-emitting a stop lost to a torn tail heals it, exactly as
@@ -83,55 +80,25 @@ CellTaskResult run_cell_task(std::vector<core::CampaignCell>& cells,
 
   // Non-adaptive: the pending repetition set is known up front, so it
   // parallelizes into pre-assigned slots; lines are emitted rep-ascending
-  // regardless of completion order.
+  // regardless of completion order, and only once every pending repetition
+  // ran — a cancelled task returns no lines at any thread count.
   std::vector<int> pending;
   for (int r = 0; r < cap; ++r) {
     if (done.find(r) == done.end()) pending.push_back(r);
   }
-  result.resumed = static_cast<std::size_t>(cap) - pending.size();
-
   std::vector<double> values(pending.size());
-  const int workers = runtime::ThreadPool::resolve_thread_count(threads);
-  const auto run_one = [&](std::size_t t) {
-    const int r = pending[t];
+  std::vector<char> ran(pending.size(), 0);
+  runtime::parallel_for_each(threads, pending.size(), [&](std::size_t t) {
+    if (cancelled(cancel)) return;
     cells[idx].fresh();
-    stats::Rng rep_rng{core::campaign_repetition_seed(seed, idx, r)};
+    stats::Rng rep_rng{core::campaign_repetition_seed(seed, idx, pending[t])};
     values[t] = cells[idx].run_once(rep_rng);
-  };
-  if (cancelled(cancel)) return result;
-  if (workers > 1 && pending.size() > 1) {
-    runtime::ThreadPool pool{workers};
-    std::atomic<std::size_t> left{pending.size()};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::exception_ptr error;
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      pool.submit([&, t] {
-        try {
-          if (!cancelled(cancel)) run_one(t);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock{mu};
-          if (!error) error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock{mu};
-        left.fetch_sub(1, std::memory_order_seq_cst);
-        cv.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock{mu};
-    cv.wait(lock, [&] { return left.load(std::memory_order_seq_cst) == 0; });
-    if (error) std::rethrow_exception(error);
-    if (cancelled(cancel)) return result;
-  } else {
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      if (cancelled(cancel)) return result;
-      run_one(t);
-    }
-  }
+    ran[t] = 1;
+  });
+  if (std::find(ran.begin(), ran.end(), 0) != ran.end()) return result;
   for (std::size_t t = 0; t < pending.size(); ++t) {
     result.lines.push_back(core::journal_line({idx, pending[t], values[t]}));
   }
-  result.executed = pending.size();
   result.complete = true;
   return result;
 }

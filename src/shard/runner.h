@@ -24,8 +24,6 @@ struct CellTaskResult {
   /// The cell reached its stop point (cap or adaptive convergence); false
   /// only on cooperative cancellation.
   bool complete = false;
-  std::size_t executed = 0;
-  std::size_t resumed = 0;
 };
 
 /// Runs one campaign cell exactly as the equivalent single-node
@@ -35,7 +33,9 @@ struct CellTaskResult {
 /// ConfirmMonitor first), and the emitted lines are byte-identical to the
 /// serial reference journal's. Non-adaptive repetitions parallelize across
 /// `threads` into pre-assigned slots; adaptive cells are inherently
-/// sequential (the next repetition may never exist).
+/// sequential (the next repetition may never exist). On cancellation a
+/// non-adaptive task returns no lines at any thread count, and an adaptive
+/// one the values it finished.
 ///
 /// Resume lines failing their checksum are ignored (the coordinator never
 /// ships torn lines; a worker tolerates them anyway). Throws

@@ -2,19 +2,27 @@
 // workers, torn worker tails, out-of-order arrival, conflicting records.
 // Every outcome must be either a byte-identical canonical merge or a clean
 // typed ShardMergeError with nothing committed — never silent divergence.
+// Merges are checked against the single-node serial `run_scenario`
+// reference: the journal bytes, and the summary a replay of the merge
+// publishes.
 
 #include "shard/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <random>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
 #include "core/journal.h"
+#include "io/vfs.h"
+#include "scenario/result_store.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "shard/runner.h"
@@ -22,6 +30,7 @@
 namespace cloudrepro::shard {
 namespace {
 
+namespace fs = std::filesystem;
 using core::JournalRecord;
 
 scenario::ScenarioSpec tiny_spec() {
@@ -55,7 +64,7 @@ struct Executed {
   std::vector<std::vector<std::string>> lines;  ///< Per cell.
 };
 
-Executed execute_all(const scenario::ScenarioSpec& spec) {
+Executed execute_all(const scenario::ScenarioSpec& spec, int threads = 1) {
   Executed out;
   out.cells = scenario::build_cells(spec);
   out.options = scenario::campaign_options(spec);
@@ -64,30 +73,112 @@ Executed execute_all(const scenario::ScenarioSpec& spec) {
     CellTask task;
     task.cell = cell;
     const CellTaskResult result =
-        run_cell_task(out.cells, out.options, spec.seed, task);
+        run_cell_task(out.cells, out.options, spec.seed, task, threads);
     EXPECT_TRUE(result.complete);
     out.lines[cell] = result.lines;
   }
   return out;
 }
 
-TEST(ShardOf, DeterministicAndInRange) {
-  std::set<std::size_t> owners;
-  for (std::size_t cell = 0; cell < 64; ++cell) {
-    const std::size_t owner = shard_of("abc123-s7-v2", cell, 4);
-    EXPECT_LT(owner, 4u);
-    EXPECT_EQ(owner, shard_of("abc123-s7-v2", cell, 4));  // Stable.
-    owners.insert(owner);
+/// A store root private to the running test, removed on scope exit.
+class TempRoot {
+ public:
+  TempRoot()
+      : path_(fs::path{::testing::TempDir()} /
+              ("cloudrepro-shard-plan-" +
+               std::string{::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()})) {
+    fs::remove_all(path_);
   }
-  // 64 cells over 4 shards: every shard owns something (the hash spreads).
-  EXPECT_EQ(owners.size(), 4u);
-  // Different entry keys shuffle the partition.
-  bool differs = false;
-  for (std::size_t cell = 0; cell < 64 && !differs; ++cell) {
-    differs = shard_of("abc123-s7-v2", cell, 4) != shard_of("other-s7-v2", cell, 4);
+  ~TempRoot() { fs::remove_all(path_); }
+  const fs::path& path() const noexcept { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  EXPECT_TRUE(in) << "missing " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The single-node serial reference: what `run_scenario` at threads=1
+/// journals and publishes.
+struct Reference {
+  std::string journal;
+  std::string summary;
+};
+
+Reference serial_reference(const scenario::ScenarioSpec& spec,
+                           const fs::path& root) {
+  scenario::ResultStore store{root};
+  scenario::RunOptions options;
+  options.threads = 1;
+  options.store = &store;
+  Reference ref;
+  ref.summary = scenario::run_scenario(spec, options).summary;
+  ref.journal = slurp(store.journal_path(spec, spec.seed));
+  return ref;
+}
+
+/// Publishes a merged journal the way the serve coordinator does — written
+/// into the store entry, then replayed by `run_scenario`, which must
+/// execute nothing — and returns the summary.
+std::string replayed_summary(const scenario::ScenarioSpec& spec,
+                             const fs::path& root, const std::string& journal) {
+  scenario::ResultStore store{root};
+  {
+    std::ofstream out{store.prepare(spec, spec.seed),
+                      std::ios::binary | std::ios::trunc};
+    out << journal;
   }
-  EXPECT_TRUE(differs);
-  EXPECT_EQ(shard_of("k", 3, 0), 0u);  // Degenerate shard count.
+  scenario::RunOptions options;
+  options.threads = 1;
+  options.store = &store;
+  const auto result = scenario::run_scenario(spec, options);
+  EXPECT_EQ(result.executed_measurements, 0u);
+  return result.summary;
+}
+
+/// Every cell executed at `threads` per cell, split across `partitions`
+/// workers (cell % partitions), the workers' lines pushed round-robin one
+/// line per push, merged, and checked against the serial reference.
+void expect_partitioned_merges_match_reference(const scenario::ScenarioSpec& spec,
+                                               const fs::path& root) {
+  const Reference ref = serial_reference(spec, root / "reference");
+  for (const int threads : {1, 4}) {
+    const Executed executed = execute_all(spec, threads);
+    for (const std::size_t partitions : {1u, 2u, 4u}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " partitions=" + std::to_string(partitions);
+      std::vector<std::vector<std::pair<std::size_t, std::string>>> workers(
+          partitions);
+      for (std::size_t cell = 0; cell < executed.cells.size(); ++cell) {
+        for (const std::string& line : executed.lines[cell]) {
+          workers[cell % partitions].emplace_back(cell, line);
+        }
+      }
+      std::size_t longest = 0;
+      for (const auto& worker : workers) longest = std::max(longest, worker.size());
+      ShardPlan plan{executed.cells, executed.options, spec.seed};
+      for (std::size_t i = 0; i < longest; ++i) {
+        for (const auto& worker : workers) {
+          if (i < worker.size()) plan.push(worker[i].first, {worker[i].second});
+        }
+      }
+      const std::string journal = plan.merge();
+      EXPECT_EQ(journal, ref.journal) << label;
+      EXPECT_EQ(replayed_summary(spec, root / ("t" + std::to_string(threads) +
+                                               "p" + std::to_string(partitions)),
+                                 journal),
+                ref.summary)
+          << label;
+    }
+  }
 }
 
 TEST(ShardPlan, MergeMatchesPushOrderIndependence) {
@@ -115,6 +206,9 @@ TEST(ShardPlan, MergeMatchesPushOrderIndependence) {
   }
   ASSERT_TRUE(scrambled.complete());
   EXPECT_EQ(scrambled.merge(), merged);
+
+  TempRoot root;
+  expect_partitioned_merges_match_reference(spec, root.path());
 }
 
 TEST(ShardPlan, DuplicateRecordsFromReassignedWorkerAreDiscarded) {
@@ -297,6 +391,13 @@ TEST(ShardPlan, AdaptiveStopDerivedNotTrusted) {
   } catch (const ShardMergeError& error) {
     EXPECT_EQ(error.code(), "conflict");
   }
+
+  // Over a two-cell grid, stop points do not depend on where or how the
+  // cells ran: every partition and thread count merges to the reference.
+  auto grid = spec;
+  grid.workloads.push_back({"hibench", "KM", std::nullopt});
+  TempRoot root;
+  expect_partitioned_merges_match_reference(grid, root.path());
 }
 
 TEST(ShardPlan, ResumeLinesShipExactlyTheKnownPrefix) {
@@ -318,11 +419,74 @@ TEST(ShardPlan, ResumeLinesShipExactlyTheKnownPrefix) {
   task.resume_lines = resume;
   const CellTaskResult rest =
       run_cell_task(executed.cells, executed.options, spec.seed, task);
-  EXPECT_EQ(rest.resumed, 2u);
-  EXPECT_EQ(rest.executed, 1u);
+  ASSERT_EQ(rest.lines.size(), 1u);
+  JournalRecord record;
+  ASSERT_TRUE(core::parse_journal_line(rest.lines[0], record));
+  EXPECT_EQ(record.rep, 2);
   const auto outcome = plan.push(0, rest.lines);
   EXPECT_EQ(outcome.duplicates, 0u);
   EXPECT_TRUE(outcome.cell_complete);
+
+  // A task cancelled before it starts ships nothing and claims nothing, at
+  // any thread count; the uncancelled retry from the plan's resume lines
+  // executes the whole cell.
+  const std::atomic<bool> cancel{true};
+  for (const int threads : {1, 4}) {
+    const CellTaskResult cancelled =
+        run_cell_task(executed.cells, executed.options, spec.seed,
+                      {1, plan.resume_lines(1)}, threads, &cancel);
+    EXPECT_FALSE(cancelled.complete) << "threads=" << threads;
+    EXPECT_TRUE(cancelled.lines.empty()) << "threads=" << threads;
+  }
+  const CellTaskResult retry = run_cell_task(
+      executed.cells, executed.options, spec.seed, {1, plan.resume_lines(1)}, 4);
+  EXPECT_TRUE(retry.complete);
+  EXPECT_TRUE(plan.push(1, retry.lines).cell_complete);
+
+  // The resumed and retried cells plus the rest merge to the reference.
+  for (std::size_t cell = 2; cell < executed.cells.size(); ++cell) {
+    plan.push(cell, executed.lines[cell]);
+  }
+  TempRoot root;
+  EXPECT_EQ(plan.merge(), serial_reference(spec, root.path()).journal);
+}
+
+TEST(ShardPlan, AbsorbedPartialJournalResumesOnlyTheRemainder) {
+  const auto spec = tiny_spec();
+  TempRoot root;
+  const Reference ref = serial_reference(spec, root.path() / "reference");
+
+  // A single-node run interrupted after 5 measurements leaves a partial
+  // journal; a distributed continuation absorbs it and executes the rest.
+  scenario::ResultStore store{root.path() / "partial"};
+  scenario::RunOptions partial;
+  partial.threads = 1;
+  partial.store = &store;
+  partial.max_measurements = 5;
+  const auto first = scenario::run_scenario(spec, partial);
+  ASSERT_FALSE(first.complete);
+  ASSERT_EQ(first.executed_measurements, 5u);
+
+  auto cells = scenario::build_cells(spec);
+  const core::CampaignOptions options = scenario::campaign_options(spec);
+  ShardPlan plan{cells, options, spec.seed};
+  plan.absorb_replay(core::replay_journal(
+      io::real_vfs(), store.journal_path(spec, spec.seed), plan.header(),
+      cells.size(), options.repetitions_per_cell));
+  std::size_t executed = 0;
+  for (const std::size_t cell : plan.execution_order()) {
+    if (plan.cell_complete(cell)) continue;
+    const CellTaskResult result = run_cell_task(
+        cells, options, spec.seed, {cell, plan.resume_lines(cell)}, 4);
+    ASSERT_TRUE(result.complete);
+    executed += result.lines.size();
+    EXPECT_EQ(plan.push(cell, result.lines).duplicates, 0u);
+  }
+  // The 5 journaled measurements were replayed, not re-run.
+  EXPECT_EQ(executed, static_cast<std::size_t>(spec.total_measurements()) - 5);
+  const std::string journal = plan.merge();
+  EXPECT_EQ(journal, ref.journal);
+  EXPECT_EQ(replayed_summary(spec, root.path() / "replay", journal), ref.summary);
 }
 
 }  // namespace
