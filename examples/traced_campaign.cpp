@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "core/report.h"
 #include "faults/fault_plan.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "simnet/qos.h"
 #include "stats/rng.h"
@@ -104,15 +104,24 @@ int main(int argc, char** argv) {
 
   core::CampaignOptions opt;
   opt.repetitions_per_cell = 5;
-  opt.trace_path = trace_path;
-  opt.metrics_path = metrics_path;
   opt.tracer = &tracer;
   opt.metrics = &metrics;
 
   const auto result = core::run_campaign(cells, opt, /*seed=*/20200225u);
   core::print_campaign_summary(std::cout, result);
 
-#if CLOUDREPRO_OBS
+  // The sinks belong to this program, so it writes their files itself.
+  {
+    std::ofstream trace_out{trace_path};
+    tracer.write_chrome_json(trace_out);
+    std::ofstream metrics_out{metrics_path};
+    metrics.write_json(metrics_out);
+    if (!trace_out || !metrics_out) {
+      std::cerr << "traced_campaign: cannot write to " << dir.string() << '\n';
+      return 1;
+    }
+  }
+
   std::cout << "\n--- Telemetry reconciliation ---\n"
             << "engine.task_retries (metrics counter): "
             << metrics.counter_value("engine.task_retries") << '\n'
@@ -129,9 +138,5 @@ int main(int argc, char** argv) {
             << std::filesystem::file_size(trace_path) << " bytes) — load it in "
             << "chrome://tracing or https://ui.perfetto.dev\n"
             << "Wrote " << metrics_path.string() << '\n';
-#else
-  std::cout << "\n(built with CLOUDREPRO_OBS=OFF: instrumentation compiled "
-               "out, no trace/metrics files written)\n";
-#endif
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,7 +17,6 @@
 #include "core/report.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
@@ -123,23 +121,11 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     }
   }
 
-#if CLOUDREPRO_OBS
-  // Observability sinks: external when supplied, owned when only a path was
-  // given. All campaign events live in the wall-clock domain (track 0,
-  // seconds since campaign start) — per-measurement sim time is the cells'
-  // business, not ours.
-  std::unique_ptr<obs::Tracer> owned_tracer;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics;
+  // Observability sinks, owned by the caller. All campaign events live in
+  // the wall-clock domain (track 0, seconds since campaign start) —
+  // per-measurement sim time is the cells' business, not ours.
   obs::Tracer* tracer = options.tracer;
   obs::MetricsRegistry* metrics = options.metrics;
-  if (!tracer && !options.trace_path.empty()) {
-    owned_tracer = std::make_unique<obs::Tracer>();
-    tracer = owned_tracer.get();
-  }
-  if (!metrics && !options.metrics_path.empty()) {
-    owned_metrics = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics.get();
-  }
   obs::Histogram* h_cell_wall =
       metrics ? &metrics->histogram("campaign.cell_wall_s") : nullptr;
   obs::Histogram* h_queue_depth =
@@ -151,7 +137,6 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - obs_t0)
         .count();
   };
-#endif
 
   CampaignResult result;
   result.seed = seed;
@@ -263,20 +248,19 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
           ran_out = true;
           break;
         }
-        CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
+        const double m_start = wall_s();
         cells[task.cell].fresh();
         stats::Rng rep_rng{campaign_repetition_seed(seed, task.cell, r)};
         value = cells[task.cell].run_once(rep_rng);
-        CLOUDREPRO_OBS_STMT(
-            const double m_dur = wall_s() - m_start;
-            if (h_cell_wall) h_cell_wall->observe(m_dur);
-            if (c_executed) c_executed->add();
-            if (tracer) {
-              tracer->complete(m_start, m_dur, "campaign", "measurement",
-                               {"cell", static_cast<double>(task.cell)},
-                               {"rep", static_cast<double>(r)},
-                               static_cast<std::uint32_t>(task.cell), 0);
-            })
+        const double m_dur = wall_s() - m_start;
+        if (h_cell_wall) h_cell_wall->observe(m_dur);
+        if (c_executed) c_executed->add();
+        if (tracer) {
+          tracer->complete(m_start, m_dur, "campaign", "measurement",
+                           {"cell", static_cast<double>(task.cell)},
+                           {"rep", static_cast<double>(r)},
+                           static_cast<std::uint32_t>(task.cell), 0);
+        }
         run.values[static_cast<std::size_t>(r)] = value;
         emit({task.cell, r, value});
       }
@@ -362,8 +346,7 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
       lock.unlock();
       // Lines waiting at this drain: how far the workers have run ahead of
       // the single journal writer.
-      CLOUDREPRO_OBS_STMT(
-          if (h_queue_depth) h_queue_depth->observe(static_cast<double>(batch.size()));)
+      if (h_queue_depth) h_queue_depth->observe(static_cast<double>(batch.size()));
       for (const auto& line : batch) {
         if (!journal || writer_error) break;
         // A failed append must not abandon in-flight tasks (they reference
@@ -439,7 +422,6 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     }
   }
 
-#if CLOUDREPRO_OBS
   if (metrics && result.resumed_measurements > 0) {
     metrics->counter("campaign.measurements_resumed")
         .add(static_cast<double>(result.resumed_measurements));
@@ -450,23 +432,6 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
                      {"reps", static_cast<double>(options.repetitions_per_cell)},
                      0, 0);
   }
-  if (tracer && !options.trace_path.empty()) {
-    std::ofstream out{options.trace_path};
-    if (!out) {
-      throw std::runtime_error{"run_campaign: cannot write trace " +
-                               options.trace_path.string()};
-    }
-    tracer->write_chrome_json(out);
-  }
-  if (metrics && !options.metrics_path.empty()) {
-    std::ofstream out{options.metrics_path};
-    if (!out) {
-      throw std::runtime_error{"run_campaign: cannot write metrics " +
-                               options.metrics_path.string()};
-    }
-    metrics->write_json(out);
-  }
-#endif
   return result;
 }
 

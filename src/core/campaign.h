@@ -133,22 +133,13 @@ struct CampaignOptions {
   // not change what a campaign computes, so a journal written with tracing
   // on resumes with tracing off and vice versa.
 
-  /// When non-empty, the campaign writes a chrome://tracing-loadable
-  /// trace_event JSON file here on completion.
-  std::filesystem::path trace_path{};
-
-  /// When non-empty, the campaign writes a metrics-registry JSON snapshot
-  /// here on completion.
-  std::filesystem::path metrics_path{};
-
-  /// External sinks. When null and the corresponding path above is set, the
-  /// campaign creates (and owns) its own. Campaign instrumentation records
-  /// per-measurement wall-time spans (lane = cell index, track 0), a
-  /// `campaign.cell_wall_s` histogram, the journal-writer backlog as
-  /// `campaign.journal_queue_depth` (journal lines waiting for the single
-  /// writer, sampled each time it drains them; parallel runs only), and
-  /// `campaign.measurements_executed` /
-  /// `campaign.measurements_resumed` counters. Ignored when CLOUDREPRO_OBS compiles instrumentation out.
+  /// Sinks, owned by the caller (either may be null). Campaign
+  /// instrumentation records per-measurement wall-time spans (lane = cell
+  /// index, track 0), a `campaign.cell_wall_s` histogram, the journal-writer
+  /// backlog as `campaign.journal_queue_depth` (journal lines waiting for
+  /// the single writer, sampled each time it drains them; parallel runs
+  /// only), and `campaign.measurements_executed` /
+  /// `campaign.measurements_resumed` counters.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -198,6 +198,9 @@ class ResultStore {
 
   const std::filesystem::path& root() const noexcept { return root_; }
   const Options& options() const noexcept { return options_; }
+  /// The filesystem every entry file goes through; journals written for
+  /// this store must use it too.
+  io::Vfs& vfs() const noexcept { return *vfs_; }
 
  private:
   void count(const char* which, double delta = 1.0) const;

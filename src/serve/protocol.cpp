@@ -128,12 +128,6 @@ Request parse_request(std::string_view frame) {
         request.records.push_back(line.as_string());
       }
     }
-    if (const Json* done = doc.find("done")) {
-      if (!done->is_bool()) {
-        throw ProtocolError{"bad_field", "\"done\" must be a boolean"};
-      }
-      request.done = done->as_bool();
-    }
     if (const Json* wall = doc.find("wall_s")) {
       if (!wall->is_number()) {
         throw ProtocolError{"bad_field", "\"wall_s\" must be a number"};
@@ -510,10 +504,9 @@ std::string shard_pull_request_frame(std::string_view worker) {
 std::string shard_push_request_frame(std::string_view worker,
                                      const std::string& key, std::size_t cell,
                                      const std::vector<std::string>& records,
-                                     bool done, double wall_s) {
+                                     double wall_s) {
   JsonObject root;
   root["cell"] = Json{static_cast<std::uint64_t>(cell)};
-  root["done"] = Json{done};
   root["key"] = Json{key};
   root["op"] = Json{"SHARD_PUSH"};
   root["protocol"] = Json{kProtocolVersion};

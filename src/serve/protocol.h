@@ -54,8 +54,6 @@ struct Request {
   std::string key;                   ///< Session key (opaque to workers).
   std::size_t cell = 0;              ///< SHARD_PUSH: cell the records are for.
   std::vector<std::string> records;  ///< SHARD_PUSH: journal record lines.
-  bool done = false;                 ///< SHARD_PUSH: worker claims the cell
-                                     ///< reached its stop point.
   double wall_s = 0.0;               ///< SHARD_PUSH: cell wall time (metrics).
 };
 
@@ -156,6 +154,6 @@ std::string shard_pull_request_frame(std::string_view worker);
 std::string shard_push_request_frame(std::string_view worker,
                                      const std::string& key, std::size_t cell,
                                      const std::vector<std::string>& records,
-                                     bool done, double wall_s);
+                                     double wall_s);
 
 }  // namespace cloudrepro::serve

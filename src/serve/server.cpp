@@ -19,6 +19,18 @@ using scenario::Json;
 using scenario::JsonArray;
 using scenario::JsonObject;
 
+namespace {
+/// Per-connection bytes written per reactor pass. A slow client cannot
+/// monopolize the reactor: its response trickles out one budget per pass
+/// while other connections make progress.
+constexpr std::size_t kWriteBudgetPerPoll = 64 * 1024;
+/// Per-connection bytes read per reactor pass (read-side fairness).
+constexpr std::size_t kReadBudgetPerPoll = 64 * 1024;
+/// Campaign executor pool size (campaign runs must never block the reactor
+/// thread).
+constexpr int kExecutorThreads = 2;
+}  // namespace
+
 ServerCore::ServerCore(scenario::ResultStore& store, obs::MetricsRegistry& metrics,
                        ServeOptions options)
     : store_(store),
@@ -29,8 +41,7 @@ ServerCore::ServerCore(scenario::ResultStore& store, obs::MetricsRegistry& metri
   for (const auto& spec : registry_->scenarios()) {
     hash_index_.emplace(spec.content_hash(), &spec);
   }
-  executor_ = std::make_unique<runtime::ThreadPool>(
-      std::max(1, options_.executor_threads));
+  executor_ = std::make_unique<runtime::ThreadPool>(kExecutorThreads);
 }
 
 ServerCore::~ServerCore() {
@@ -104,7 +115,7 @@ bool ServerCore::drain_completions() {
 bool ServerCore::pump_writes(Connection& conn) {
   if (conn.dead || conn.write_buf.empty()) return false;
   bool progress = false;
-  std::size_t budget = options_.write_budget_per_poll;
+  std::size_t budget = kWriteBudgetPerPoll;
   while (budget > 0 && !conn.write_buf.empty()) {
     const std::string_view chunk{conn.write_buf.data(),
                                  std::min(budget, conn.write_buf.size())};
@@ -132,7 +143,7 @@ bool ServerCore::pump_reads(Connection& conn) {
   // clean refusal instead of a silent stall.
   if (conn.dead || conn.executing || conn.read_closed) return false;
   bool progress = false;
-  std::size_t budget = options_.read_budget_per_poll;
+  std::size_t budget = kReadBudgetPerPoll;
   char buffer[8 * 1024];
   while (budget > 0) {
     const std::size_t want = std::min(budget, sizeof buffer);
@@ -433,7 +444,7 @@ bool ServerCore::open_shard_session(const scenario::ScenarioSpec& spec,
     const core::CampaignOptions copts = scenario::campaign_options(spec);
     auto plan = std::make_unique<shard::ShardPlan>(cells, copts, seed);
     try {
-      plan->absorb_replay(core::replay_journal(io::real_vfs(), journal_path,
+      plan->absorb_replay(core::replay_journal(store_.vfs(), journal_path,
                                                plan->header(), cells.size(),
                                                copts.repetitions_per_cell));
     } catch (const core::JournalMismatch&) {
@@ -494,7 +505,7 @@ void ServerCore::close_session(const std::string& key) {
                      lock = session.lock] {
     FlightOutcome outcome;
     try {
-      io::Vfs& vfs = io::real_vfs();
+      io::Vfs& vfs = store_.vfs();
       {
         auto file = vfs.open_write(path, io::WriteMode::kTruncate);
         file->append(bytes);
@@ -570,6 +581,7 @@ FlightOutcome ServerCore::execute(const scenario::ScenarioSpec& spec,
     run.threads = options_.campaign_threads;
     run.seed = seed;
     run.store = &store_;
+    run.vfs = &store_.vfs();
     run.metrics = &metrics_;
     run.cancel = &shutdown_;
     const scenario::ScenarioRunResult result = scenario::run_scenario(spec, run);

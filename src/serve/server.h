@@ -43,18 +43,9 @@ struct ServeOptions {
   /// with the queue full is answered "busy" immediately instead of queueing
   /// without bound — the request-side backpressure valve.
   std::size_t max_inflight = 16;
-  /// Per-connection bytes written per reactor pass. A slow client cannot
-  /// monopolize the reactor: its response trickles out one budget per pass
-  /// while other connections make progress.
-  std::size_t write_budget_per_poll = 64 * 1024;
-  /// Per-connection bytes read per reactor pass (read-side fairness).
-  std::size_t read_budget_per_poll = 64 * 1024;
   /// A connection whose outbound buffer exceeds this is dropped: the client
   /// is not draining and the buffer must not grow without bound.
   std::size_t max_write_buffer = 8u << 20;
-  /// Campaign executor pool size (campaign runs must never block the
-  /// reactor thread).
-  int executor_threads = 2;
   /// `RunOptions::threads` for each executed campaign.
   int campaign_threads = 1;
   /// Retry hint returned to a worker whose SHARD_PULL found no work.

@@ -95,7 +95,7 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
 
     Response push = client.request(
         shard_push_request_frame(options.name, assignment.key, assignment.cell,
-                                 result.lines, result.complete, wall_s));
+                                 result.lines, wall_s));
     if (!push.ok) {
       if (push.error_code == "unknown_session") {
         // The coordinator finalized or abandoned this campaign while we were

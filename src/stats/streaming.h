@@ -119,32 +119,6 @@ TestResult welch_t_test(const StreamingMoments& a, const StreamingMoments& b);
 /// both counts are large). Null hypothesis: equal means.
 TestResult z_test(const StreamingMoments& a, const StreamingMoments& b);
 
-/// P² single-quantile estimator (Jain & Chlamtac 1985): five markers,
-/// O(1) memory, no storage of the sample. Exact (order-statistic) for the
-/// first five observations, an interpolated-marker estimate afterwards.
-/// This is the cheap streaming answer for dashboards and obs; the CONFIRM
-/// stopping rule uses `QuantileReservoir`, which keeps order statistics
-/// exactly while the sample is small enough to matter.
-class P2Quantile {
- public:
-  /// `q` in (0, 1).
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double quantile() const noexcept { return q_; }
-  /// Current estimate; 0 when empty.
-  double value() const noexcept;
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  double heights_[5] = {};
-  double positions_[5] = {};  // 1-based marker positions.
-  double desired_[5] = {};
-  double increments_[5] = {};
-};
-
 /// Reservoir-backed quantile sketch for the CONFIRM CI path.
 ///
 /// Keeps the sample sorted and *exact* up to `capacity` values (0 =

@@ -86,6 +86,11 @@ TEST(ServeProtocol, VersionGates) {
             "schema");
   // The current versions pass.
   EXPECT_EQ(error_code_of(list_request_frame()), "");
+  // So does a SHARD_PUSH from a worker that still sends the retired "done"
+  // flag: unknown keys are ignored, so older workers interoperate.
+  EXPECT_EQ(error_code_of(R"({"cell":0,"done":true,"key":"k","op":"SHARD_PUSH",)"
+                          R"("protocol":1,"records":[],"wall_s":0,"worker":"w"})"),
+            "");
 }
 
 TEST(ServeProtocol, ErrorResponseRoundTrips) {

@@ -17,8 +17,11 @@
 #include <string>
 #include <utility>
 
+#include "io/fault_vfs.h"
+#include "io/vfs.h"
 #include "obs/metrics.h"
 #include "scenario/json.h"
+#include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "serve/protocol.h"
 #include "serve/single_flight.h"
@@ -169,6 +172,28 @@ TEST_F(ServeCoreTest, ColdGetExecutesOnceThenCachedGetHits) {
   // The hit was served via peek, not lookup: campaign admissions stay 1.
   EXPECT_EQ(metrics_.counter_value("scenario.cache.miss"), 1.0);
   EXPECT_EQ(metrics_.counter_value("scenario.cache.hit"), 0.0);
+}
+
+TEST_F(ServeCoreTest, ServedCampaignWritesThroughTheStoresVfs) {
+  // Every byte of a served entry — scenario.json, journal, summary — must
+  // go through the store's filesystem, so a store on a FaultVfs sees (and
+  // can fault) the campaign journal too.
+  io::FaultVfs fault{io::real_vfs()};
+  ResultStore store{root_ / "fault-cache", &metrics_, &fault};
+  ServerCore server{store, metrics_, ServeOptions{}};
+  TestClient client = connect(server);
+
+  send(server, client, get_request_frame_by_name("ci-smoke", std::nullopt));
+  const auto response = recv(server, client);
+  ASSERT_TRUE(response && response->ok);
+  EXPECT_EQ(response->hit, "miss");
+
+  const ScenarioSpec& spec = scenario::ScenarioRegistry::builtin().at("ci-smoke");
+  const auto entry_bytes = fs::file_size(store.journal_path(spec, spec.seed)) +
+                           fs::file_size(store.summary_path(spec, spec.seed)) +
+                           fs::file_size(store.entry_dir(spec, spec.seed) /
+                                         "scenario.json");
+  EXPECT_GE(fault.bytes_written(), entry_bytes);
 }
 
 TEST_F(ServeCoreTest, SingleByteTornFramesServeIdentically) {

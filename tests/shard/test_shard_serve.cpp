@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "core/journal.h"
+#include "io/fault_vfs.h"
+#include "io/vfs.h"
 #include "obs/metrics.h"
 #include "scenario/runner.h"
 #include "serve/client.h"
@@ -126,6 +128,10 @@ class ShardServeTest : public ::testing::Test {
     return *core_;
   }
 
+  /// Rebuilds the store over `fault_` so a test can count the bytes the
+  /// coordinator writes; call before the first `core()`.
+  void store_on_fault_vfs() { store_.emplace(root_ / "cache", &metrics_, &fault_); }
+
   std::string reference_summary(const ScenarioSpec& spec) {
     ResultStore store{root_ / "reference"};
     scenario::RunOptions options;
@@ -166,7 +172,7 @@ class ShardServeTest : public ::testing::Test {
     EXPECT_TRUE(result.complete);
     send(core(), client,
          shard_push_request_frame(name, assignment.key, assignment.cell,
-                                  result.lines, result.complete, 0.01));
+                                  result.lines, 0.01));
     const auto response = recv(core(), client);
     EXPECT_TRUE(response && response->ok);
     return parse_shard_push_response(response->body);
@@ -187,12 +193,14 @@ class ShardServeTest : public ::testing::Test {
 
   fs::path root_;
   obs::MetricsRegistry metrics_;
+  io::FaultVfs fault_{io::real_vfs()};
   std::optional<ResultStore> store_;
   std::optional<ServerCore> core_;
 };
 
 TEST_F(ShardServeTest, PullPushFlowServesByteIdenticalSummary) {
   const auto spec = tiny_spec();
+  store_on_fault_vfs();
   TestClient worker = connect(core());
   register_worker(worker, "w1");
 
@@ -218,6 +226,13 @@ TEST_F(ShardServeTest, PullPushFlowServesByteIdenticalSummary) {
   // summary yet), so the disposition reads as a partial-entry completion.
   EXPECT_EQ(get->hit, "partial");
   EXPECT_EQ(get->summary, reference_summary(spec));
+  // The merged journal went through the store's filesystem, like the
+  // summary and scenario.json.
+  const auto entry_bytes = fs::file_size(store_->journal_path(spec, spec.seed)) +
+                           fs::file_size(store_->summary_path(spec, spec.seed)) +
+                           fs::file_size(store_->entry_dir(spec, spec.seed) /
+                                         "scenario.json");
+  EXPECT_GE(fault_.bytes_written(), entry_bytes);
 
   // Post-completion introspection and accounting.
   send(core(), worker, shard_plan_frame(spec));
@@ -260,7 +275,7 @@ TEST_F(ShardServeTest, ConflictingPushIsTypedRejectionAndSessionSurvives) {
   const auto result = shard::run_cell_task(cells, options, assignment->seed, task);
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
-                                {result.lines[0]}, false, 0.0));
+                                {result.lines[0]}, 0.0));
   auto ack_response = recv(core(), worker);
   ASSERT_TRUE(ack_response && ack_response->ok);
 
@@ -269,7 +284,7 @@ TEST_F(ShardServeTest, ConflictingPushIsTypedRejectionAndSessionSurvives) {
   record.value += 1.0;
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
-                                {core::journal_line(record)}, false, 0.0));
+                                {core::journal_line(record)}, 0.0));
   const auto rejection = recv(core(), worker);
   ASSERT_TRUE(rejection);
   EXPECT_FALSE(rejection->ok);
@@ -348,7 +363,7 @@ TEST_F(ShardServeTest, PushForUnknownSessionIsTypedError) {
   TestClient worker = connect(core());
   register_worker(worker, "w1");
   send(core(), worker,
-       shard_push_request_frame("w1", "no-such-session", 0, {}, true, 0.0));
+       shard_push_request_frame("w1", "no-such-session", 0, {}, 0.0));
   const auto response = recv(core(), worker);
   ASSERT_TRUE(response);
   EXPECT_FALSE(response->ok);

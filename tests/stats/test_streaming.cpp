@@ -191,37 +191,6 @@ TEST(StreamingTest, WelchFromMomentsAgreesWithDirectComputation) {
 }
 
 // ---------------------------------------------------------------------------
-// P² streaming quantile.
-
-TEST(P2QuantileTest, ExactForFirstFiveObservations) {
-  P2Quantile p50{0.5};
-  for (const double x : {9.0, 1.0, 5.0, 3.0, 7.0}) p50.add(x);
-  EXPECT_DOUBLE_EQ(p50.value(), 5.0);
-}
-
-TEST(P2QuantileTest, TracksTrueQuantileOnLargeStreams) {
-  Rng rng{23};
-  P2Quantile p50{0.5};
-  P2Quantile p90{0.9};
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = std::exp(rng.normal(5.0, 0.4));
-    xs.push_back(x);
-    p50.add(x);
-    p90.add(x);
-  }
-  const double true_p50 = quantile(xs, 0.5);
-  const double true_p90 = quantile(xs, 0.9);
-  EXPECT_NEAR(p50.value(), true_p50, 0.03 * true_p50);
-  EXPECT_NEAR(p90.value(), true_p90, 0.05 * true_p90);
-}
-
-TEST(P2QuantileTest, RejectsDegenerateQuantiles) {
-  EXPECT_THROW(P2Quantile{0.0}, std::invalid_argument);
-  EXPECT_THROW(P2Quantile{1.0}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // QuantileReservoir: the CONFIRM CI path.
 
 TEST(QuantileReservoirTest, ExactModeIsBitIdenticalToSpanCi) {
