@@ -17,6 +17,7 @@
 #include "measure/iperf.h"
 #include "measure/patterns.h"
 #include "obs/metrics.h"
+#include "scenario/registry.h"
 #include "scenario/result_store.h"
 #include "scenario/runner.h"
 #include "serve/frame.h"
@@ -180,9 +181,13 @@ BENCHMARK(BM_SuiteSharedPool)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->Us
 // The serving daemon's cached-hit request path over the in-memory
 // transport: request framing, reactor dispatch, the checked summary read,
 // and response framing — everything but the wire. This is the per-request
-// overhead a warm `cloudrepro fetch` pays on top of the network.
+// overhead a warm `cloudrepro fetch` pays on top of the network. Arg 0
+// ships the spec inline (the server parses and hashes it per request);
+// arg 1 names a registry spec, whose hash the server computed once at
+// construction.
 void BM_ServeRequest(benchmark::State& state) {
   namespace fs = std::filesystem;
+  const bool by_name = state.range(0) != 0;
   const fs::path root = fs::temp_directory_path() / "cloudrepro-bench-serve";
   fs::remove_all(root);
   {
@@ -197,11 +202,18 @@ void BM_ServeRequest(benchmark::State& state) {
     run.store = &store;
     (void)scenario::run_scenario(spec, run);  // Warm: every GET below hits.
 
-    serve::ServerCore core{store, metrics, {}};
+    scenario::ScenarioRegistry registry;
+    registry.add(spec);
+    serve::ServeOptions options;
+    options.registry = &registry;
+    serve::ServerCore core{store, metrics, options};
     auto [client_end, server_end] = serve::make_memory_pair();
     core.add_connection(std::move(server_end));
 
-    const std::string frame = serve::get_request_frame(spec, std::nullopt) + "\n";
+    const std::string frame =
+        (by_name ? serve::get_request_frame_by_name(spec.name, std::nullopt)
+                 : serve::get_request_frame(spec, std::nullopt)) +
+        "\n";
     serve::FrameDecoder decoder{1u << 20};
     char buffer[4096];
     std::string response;
@@ -224,8 +236,9 @@ void BM_ServeRequest(benchmark::State& state) {
     }
   }
   fs::remove_all(root);
+  state.SetLabel(by_name ? "by_name" : "inline_spec");
 }
-BENCHMARK(BM_ServeRequest);
+BENCHMARK(BM_ServeRequest)->Arg(0)->Arg(1);
 
 void BM_MedianCi(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

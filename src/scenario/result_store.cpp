@@ -91,6 +91,14 @@ bool parses_as_json(const std::string& text) {
   }
 }
 
+/// What a servable summary.json must be. The newline rule is what lets a
+/// server splice the stored bytes into a one-line response frame; only a
+/// hand edit (a pretty-printed summary) can break it.
+bool summary_intact(const std::string& text) {
+  return !text.empty() && text.find('\n') == std::string::npos &&
+         parses_as_json(text);
+}
+
 }  // namespace
 
 EntryLock::EntryLock(io::Vfs* vfs, std::filesystem::path path)
@@ -145,15 +153,24 @@ void ResultStore::count(const char* which, double delta) const {
   if (metrics_) metrics_->counter(which).add(delta);
 }
 
+std::string ResultStore::entry_key(std::string_view hash, std::uint64_t seed) {
+  std::string key{hash};
+  key += "-s" + std::to_string(seed) + "-v" + std::to_string(kResultSchemaVersion);
+  return key;
+}
+
 std::string ResultStore::entry_key(const ScenarioSpec& spec,
                                    std::uint64_t seed) const {
-  return spec.content_hash() + "-s" + std::to_string(seed) + "-v" +
-         std::to_string(kResultSchemaVersion);
+  return entry_key(spec.content_hash(), seed);
+}
+
+std::filesystem::path ResultStore::entry_dir(const std::string& key) const {
+  return root_ / key;
 }
 
 std::filesystem::path ResultStore::entry_dir(const ScenarioSpec& spec,
                                              std::uint64_t seed) const {
-  return root_ / entry_key(spec, seed);
+  return entry_dir(entry_key(spec, seed));
 }
 
 std::filesystem::path ResultStore::journal_path(const ScenarioSpec& spec,
@@ -161,9 +178,13 @@ std::filesystem::path ResultStore::journal_path(const ScenarioSpec& spec,
   return entry_dir(spec, seed) / "journal.jsonl";
 }
 
+std::filesystem::path ResultStore::summary_path(const std::string& key) const {
+  return entry_dir(key) / "summary.json";
+}
+
 std::filesystem::path ResultStore::summary_path(const ScenarioSpec& spec,
                                                 std::uint64_t seed) const {
-  return entry_dir(spec, seed) / "summary.json";
+  return summary_path(entry_key(spec, seed));
 }
 
 std::size_t ResultStore::count_journal_measurements(
@@ -244,9 +265,13 @@ ResultStore::Lookup ResultStore::lookup(const ScenarioSpec& spec, std::uint64_t 
   return result;
 }
 
-void ResultStore::touch(const ScenarioSpec& spec, std::uint64_t seed) {
-  const auto dir = entry_dir(spec, seed);
+void ResultStore::touch(const std::string& key) {
+  const auto dir = entry_dir(key);
   if (vfs_->exists(dir)) touch_entry(dir);
+}
+
+void ResultStore::touch(const ScenarioSpec& spec, std::uint64_t seed) {
+  touch(entry_key(spec, seed));
 }
 
 std::filesystem::path ResultStore::prepare(const ScenarioSpec& spec,
@@ -271,8 +296,12 @@ std::filesystem::path ResultStore::prepare(const ScenarioSpec& spec,
   return dir / "journal.jsonl";
 }
 
+bool ResultStore::has_summary(const std::string& key) const {
+  return vfs_->exists(summary_path(key));
+}
+
 bool ResultStore::has_summary(const ScenarioSpec& spec, std::uint64_t seed) const {
-  return vfs_->exists(summary_path(spec, seed));
+  return has_summary(entry_key(spec, seed));
 }
 
 std::optional<std::string> ResultStore::read_summary(const ScenarioSpec& spec,
@@ -280,21 +309,32 @@ std::optional<std::string> ResultStore::read_summary(const ScenarioSpec& spec,
   return vfs_->read_file(summary_path(spec, seed));
 }
 
-std::optional<std::string> ResultStore::read_summary_checked(
-    const ScenarioSpec& spec, std::uint64_t seed) {
-  auto summary = read_summary(spec, seed);
+std::optional<std::string> ResultStore::read_summary_checked(const std::string& key) {
+  const auto path = summary_path(key);
+  auto summary = vfs_->read_file(path);
   if (!summary) return std::nullopt;
-  if (!summary->empty() && parses_as_json(*summary)) return summary;
+  if (summary_intact(*summary)) return summary;
   // Publication is fsync-then-rename, so a torn summary means external
   // damage. The journal may still be intact; drop only the summary so the
   // re-run resumes instead of starting cold.
   count("scenario.cache.corrupt_summaries");
   try {
-    vfs_->remove(summary_path(spec, seed));
+    vfs_->remove(path);
   } catch (const io::IoError&) {
     // Unremovable == unreadable next time too; the caller still re-runs.
   }
   return std::nullopt;
+}
+
+std::optional<std::string> ResultStore::read_summary_checked(
+    const ScenarioSpec& spec, std::uint64_t seed) {
+  return read_summary_checked(entry_key(spec, seed));
+}
+
+std::optional<std::string> ResultStore::fetch_summary(const std::string& key) {
+  auto summary = read_summary_checked(key);
+  if (summary) touch_entry(entry_dir(key));
+  return summary;
 }
 
 void ResultStore::write_summary(const ScenarioSpec& spec, std::uint64_t seed,
@@ -457,9 +497,9 @@ std::vector<ResultStore::VerifyReport> ResultStore::verify() const {
     }
     if (report.ok) {
       if (const auto summary = vfs_->read_file(dir / "summary.json")) {
-        if (summary->empty() || !parses_as_json(*summary)) {
+        if (!summary_intact(*summary)) {
           report.ok = false;
-          report.note = "summary.json corrupt (empty or unparseable)";
+          report.note = "summary.json corrupt (empty, multi-line or unparseable)";
         }
       }
     }

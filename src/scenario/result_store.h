@@ -116,28 +116,46 @@ class ResultStore {
   /// tests).
   Lookup peek(const ScenarioSpec& spec, std::uint64_t seed) const;
 
+  /// Directory name for (content hash, seed): <hash>-s<seed>-v<version>.
+  /// The key-taking methods below address an entry by it, so a caller that
+  /// already holds the spec's hash (a server's registry index) never hashes
+  /// the spec again. A spec-taking method with a key-taking form delegates
+  /// to it through `entry_key(spec, seed)`.
+  static std::string entry_key(std::string_view hash, std::uint64_t seed);
+  /// `entry_key(spec.content_hash(), seed)`: one canonical-JSON SHA-256.
+  std::string entry_key(const ScenarioSpec& spec, std::uint64_t seed) const;
+
+  std::filesystem::path entry_dir(const std::string& key) const;
   std::filesystem::path entry_dir(const ScenarioSpec& spec, std::uint64_t seed) const;
   std::filesystem::path journal_path(const ScenarioSpec& spec, std::uint64_t seed) const;
+  std::filesystem::path summary_path(const std::string& key) const;
   std::filesystem::path summary_path(const ScenarioSpec& spec, std::uint64_t seed) const;
-  /// Directory name for (spec, seed): <hash>-s<seed>-v<version>.
-  std::string entry_key(const ScenarioSpec& spec, std::uint64_t seed) const;
 
   /// Creates the entry directory (and `scenario.json` if absent) and
   /// returns the journal path for `CampaignOptions::journal_path`.
   std::filesystem::path prepare(const ScenarioSpec& spec, std::uint64_t seed);
 
+  bool has_summary(const std::string& key) const;
   bool has_summary(const ScenarioSpec& spec, std::uint64_t seed) const;
   /// Exact bytes written by `write_summary`; nullopt when absent. No
   /// validation — pair with `read_summary_checked` when serving cache hits.
   std::optional<std::string> read_summary(const ScenarioSpec& spec,
                                           std::uint64_t seed) const;
-  /// `read_summary` plus integrity validation (non-empty, parses as JSON).
-  /// A corrupt summary — possible only through external damage, since
-  /// publication is fsync-then-rename — evicts the entry, bumps
-  /// scenario.cache.corrupt_summaries, and returns nullopt so the caller
-  /// re-runs instead of serving garbage.
+  /// `read_summary` plus integrity validation: non-empty, no raw newline
+  /// (a canonical summary has none, and servers splice the stored bytes
+  /// into newline-framed responses), and parses as JSON. A corrupt summary
+  /// — possible only through external damage or a hand edit, since
+  /// publication is fsync-then-rename — is removed (the journal stays, so
+  /// the re-run resumes), bumps scenario.cache.corrupt_summaries, and
+  /// returns nullopt so the caller re-runs instead of serving garbage.
+  std::optional<std::string> read_summary_checked(const std::string& key);
   std::optional<std::string> read_summary_checked(const ScenarioSpec& spec,
                                                   std::uint64_t seed);
+  /// A served cache hit: `read_summary_checked(key)` and, when it returns
+  /// bytes, the LRU freshening of `touch` — without touch's existence
+  /// probe, which the summary just read already answered. Bumps no
+  /// scenario.cache.* admission counter.
+  std::optional<std::string> fetch_summary(const std::string& key);
   /// Atomically publishes the summary, completing the entry. Durability
   /// order: write tmp, fsync tmp, rename into place, fsync directory — a
   /// crash anywhere leaves either no summary (entry stays partial,
@@ -146,10 +164,10 @@ class ResultStore {
                      std::string_view summary);
 
   /// Freshens the entry's LRU clock without classifying it or bumping any
-  /// cache counter — for servers that answer hits via `peek` /
-  /// `read_summary_checked` (keeping scenario.cache.* meaning "campaign
-  /// admissions") but still want served entries to stay budget-resident.
-  /// No-op when the entry does not exist.
+  /// cache counter (scenario.cache.* keep meaning "campaign admissions"),
+  /// as `fetch_summary` does for a served hit, so served entries stay
+  /// budget-resident. No-op when the entry does not exist.
+  void touch(const std::string& key);
   void touch(const ScenarioSpec& spec, std::uint64_t seed);
 
   /// Single-flight: acquires the entry's lock file, stealing it from a

@@ -190,16 +190,22 @@ std::string error_response(std::string_view code, std::string_view message) {
 
 std::string get_response(const std::string& hash, std::uint64_t seed,
                          std::string_view hit, const std::string& summary_json) {
-  JsonObject root;
-  root["hash"] = Json{hash};
-  root["hit"] = Json{std::string{hit}};
-  root["ok"] = Json{true};
-  root["seed"] = Json{seed};
-  // Parse-then-embed: the summary is canonical JSON, and canonical JSON
-  // round-trips bit-exactly (pinned by the scenario JSON tests), so the
-  // sub-document's bytes inside this response equal the stored summary.
-  root["summary"] = Json::parse(summary_json);
-  return Json{std::move(root)}.canonical();
+  // The summary bytes are canonical and newline-free (the store's checked
+  // read evicts any that are not), so splicing them verbatim after the
+  // other members, in canonical key order, gives the bytes canonicalising
+  // the whole document would, without parsing a summary the store has just
+  // validated.
+  std::string out = R"({"hash":)";
+  out.reserve(summary_json.size() + hash.size() + hit.size() + 64);
+  out += Json{hash}.canonical();
+  out += R"(,"hit":)";
+  out += Json{std::string{hit}}.canonical();
+  out += R"(,"ok":true,"seed":)";
+  out += Json{seed}.canonical();
+  out += R"(,"summary":)";
+  out += summary_json;
+  out += '}';
+  return out;
 }
 
 Response parse_response(std::string_view frame) {

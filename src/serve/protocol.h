@@ -61,10 +61,13 @@ struct Request {
 Request parse_request(std::string_view frame);
 
 /// Response builders. Every response is one line of canonical JSON with an
-/// "ok" discriminator; the GET success payload embeds the summary document
-/// verbatim-by-value (canonical JSON round-trips bit-exactly, which is what
-/// keeps a fetched summary byte-identical to `cloudrepro run` output).
+/// "ok" discriminator.
 std::string error_response(std::string_view code, std::string_view message);
+/// GET success. `summary_json` must be canonical and newline-free: what
+/// `scenario::summary_json` produces, what the store's checked read admits,
+/// and what `cloudrepro run` prints on a hit. Those bytes are spliced in verbatim as the
+/// "summary" member, so the frame equals the canonical document and a
+/// fetched summary stays byte-identical to `cloudrepro run` output.
 /// `hit` is the server-side disposition: "hit" (served from cache),
 /// "miss" / "partial" (campaign executed by this request), "coalesced"
 /// (shared another request's in-flight execution), "peer" (read through a

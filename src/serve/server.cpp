@@ -39,7 +39,8 @@ ServerCore::ServerCore(scenario::ResultStore& store, obs::MetricsRegistry& metri
       registry_(options_.registry ? options_.registry
                                   : &scenario::ScenarioRegistry::builtin()) {
   for (const auto& spec : registry_->scenarios()) {
-    hash_index_.emplace(spec.content_hash(), &spec);
+    registry_hashes_.push_back(spec.content_hash());
+    hash_index_.emplace(registry_hashes_.back(), &spec);
   }
   executor_ = std::make_unique<runtime::ThreadPool>(kExecutorThreads);
 }
@@ -232,43 +233,49 @@ void ServerCore::handle_frame(Connection& conn, const std::string& frame) {
   handle_get(conn, request);
 }
 
-const scenario::ScenarioSpec* ServerCore::resolve_request_spec(
+ServerCore::ResolvedSpec ServerCore::resolve_request_spec(
     Connection& conn, const Request& request) {
-  if (request.spec) return &*request.spec;
+  if (request.spec) return {&*request.spec, request.spec->content_hash()};
   if (!request.scenario_name.empty()) {
-    const scenario::ScenarioSpec* spec = resolve_by_name(request.scenario_name);
+    const scenario::ScenarioSpec* spec = registry_->find(request.scenario_name);
     if (!spec) {
       count("serve.requests_bad");
       respond(conn, error_response("unknown_scenario",
                                    "no scenario named \"" +
                                        request.scenario_name + "\""));
+      return {};
     }
-    return spec;
+    return {spec, registry_hashes_[static_cast<std::size_t>(
+                      spec - registry_->scenarios().data())]};
   }
-  const scenario::ScenarioSpec* spec = resolve_by_hash(request.hash);
-  if (!spec) {
+  const auto it = hash_index_.find(request.hash);
+  if (it == hash_index_.end()) {
     count("serve.requests_bad");
     respond(conn,
             error_response("unknown_hash",
                            "no registry scenario with that content hash"));
+    return {};
   }
-  return spec;
+  return {it->second, request.hash};
 }
 
 void ServerCore::handle_get(Connection& conn, const Request& request) {
-  const scenario::ScenarioSpec* spec = resolve_request_spec(conn, request);
-  if (!spec) return;
+  const ResolvedSpec resolved = resolve_request_spec(conn, request);
+  if (!resolved.spec) return;
+  const scenario::ScenarioSpec* spec = resolved.spec;
+  const std::string& hash = resolved.hash;
   const std::uint64_t seed = request.seed.value_or(spec->seed);
-  const std::string hash = spec->content_hash();
+  const std::string key = scenario::ResultStore::entry_key(hash, seed);
 
   // Fast path: complete entries are served inline — no executor hop, no
-  // single-flight. Deliberately peek-style (read_summary_checked + touch,
-  // not lookup): scenario.cache.* counters keep meaning "campaign
-  // admissions", so N served hits do not inflate them — the reconciliation
-  // the herd test asserts. A summary corrupted on disk fails validation
-  // here, is evicted, and the request falls through to execution.
-  if (auto summary = store_.read_summary_checked(*spec, seed)) {
-    store_.touch(*spec, seed);
+  // single-flight, and the spec is not hashed again: the one entry key
+  // feeds both the checked read and the LRU touch. Deliberately
+  // peek-style (fetch_summary, not lookup): scenario.cache.* counters keep
+  // meaning "campaign admissions", so N served hits do not inflate them —
+  // the reconciliation the herd test asserts. A summary corrupted on disk
+  // (or hand-edited onto several lines) fails validation here, is evicted,
+  // and the request falls through to execution.
+  if (auto summary = store_.fetch_summary(key)) {
     count("serve.get_hit");
     respond(conn, get_response(hash, seed, "hit", *summary));
     observe_latency(conn);
@@ -283,7 +290,6 @@ void ServerCore::handle_get(Connection& conn, const Request& request) {
   }
 
   conn.executing = true;
-  const std::string key = store_.entry_key(*spec, seed);
   const std::uint64_t conn_id = conn.id;
   auto callback = [this, conn_id, hash, seed](const FlightOutcome& outcome,
                                               bool leader) {
@@ -338,11 +344,12 @@ void ServerCore::handle_get(Connection& conn, const Request& request) {
 }
 
 void ServerCore::handle_shard_plan(Connection& conn, const Request& request) {
-  const scenario::ScenarioSpec* spec = resolve_request_spec(conn, request);
+  const ResolvedSpec resolved = resolve_request_spec(conn, request);
+  const scenario::ScenarioSpec* spec = resolved.spec;
   if (!spec) return;
   const std::uint64_t seed = request.seed.value_or(spec->seed);
   ShardPlanInfo info;
-  info.key = store_.entry_key(*spec, seed);
+  info.key = scenario::ResultStore::entry_key(resolved.hash, seed);
   info.workers = worker_count_;
   const auto it = sessions_.find(info.key);
   if (it != sessions_.end()) {
@@ -356,7 +363,7 @@ void ServerCore::handle_shard_plan(Connection& conn, const Request& request) {
     }
   } else {
     info.cells = scenario::build_cells(*spec).size();
-    if (store_.has_summary(*spec, seed)) {
+    if (store_.has_summary(info.key)) {
       info.state = "complete";
       info.completed = info.cells;
     } else {
@@ -649,24 +656,15 @@ void ServerCore::observe_latency(const Connection& conn) {
       .observe(std::chrono::duration<double>(elapsed).count());
 }
 
-const scenario::ScenarioSpec* ServerCore::resolve_by_name(
-    const std::string& name) const {
-  return registry_->find(name);
-}
-
-const scenario::ScenarioSpec* ServerCore::resolve_by_hash(
-    const std::string& hash) const {
-  const auto it = hash_index_.find(hash);
-  return it == hash_index_.end() ? nullptr : it->second;
-}
-
 std::string ServerCore::list_response() const {
   JsonObject root;
   root["ok"] = Json{true};
   JsonArray scenarios;
-  for (const auto& spec : registry_->scenarios()) {
+  const auto& specs = registry_->scenarios();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const scenario::ScenarioSpec& spec = specs[i];
     JsonObject item;
-    item["hash"] = Json{spec.content_hash()};
+    item["hash"] = Json{registry_hashes_[i]};
     item["name"] = Json{spec.name};
     item["seed"] = Json{spec.seed};
     scenarios.push_back(Json{std::move(item)});

@@ -235,12 +235,16 @@ class ServerCore {
                                  std::size_t cell, bool requeue);
 
   // Request plumbing.
-  const scenario::ScenarioSpec* resolve_by_name(const std::string& name) const;
-  const scenario::ScenarioSpec* resolve_by_hash(const std::string& hash) const;
+  /// A request's spec and its content hash, hashed at most once per request
+  /// (registry specs never: their hashes are computed at construction).
+  struct ResolvedSpec {
+    const scenario::ScenarioSpec* spec = nullptr;
+    std::string hash;
+  };
   /// GET / SHARD_PLAN addressing: resolves the request's spec, answering
-  /// the error itself (and returning null) when nothing matches.
-  const scenario::ScenarioSpec* resolve_request_spec(
-      Connection& conn, const struct Request& request);
+  /// the error itself (and returning a null spec) when nothing matches.
+  ResolvedSpec resolve_request_spec(Connection& conn,
+                                    const struct Request& request);
   std::string list_response() const;
   std::string stats_response();
   FlightOutcome execute(const scenario::ScenarioSpec& spec, std::uint64_t seed,
@@ -256,6 +260,9 @@ class ServerCore {
   /// content hash -> registry spec, built once at construction: what makes
   /// `GET {"hash": ...}` resolvable without shipping the spec.
   std::map<std::string, const scenario::ScenarioSpec*> hash_index_;
+  /// Content hash of each registry spec by catalog position, from the same
+  /// construction loop: a GET by name never hashes its spec.
+  std::vector<std::string> registry_hashes_;
 
   std::map<std::uint64_t, Connection> connections_;
   std::uint64_t next_id_ = 1;

@@ -13,6 +13,7 @@
 
 #include "io/vfs.h"
 #include "obs/metrics.h"
+#include "scenario/json.h"
 #include "scenario/result_store.h"
 #include "scenario/runner.h"
 
@@ -212,13 +213,39 @@ TEST_F(StoreRobustnessTest, TouchFreshensTheClockWithoutClassifying) {
   const auto& e2 = entries[0].key == store.entry_key(spec, 2) ? entries[0] : entries[1];
   EXPECT_GT(e1.last_used, e2.last_used);
 
-  // touch() is the serve fast path's freshener: it must not count as a
+  // touch() freshens the way a served hit does: it must not count as a
   // cache classification (lookup did: one hit), and a missing entry is a
   // no-op, not a directory creation.
   EXPECT_EQ(metrics.counter_value("scenario.cache.hit"), 1.0);
   EXPECT_EQ(metrics.counter_value("scenario.cache.miss"), 0.0);
   store.touch(spec, 99);
   EXPECT_FALSE(fs::exists(store.entry_dir(spec, 99)));
+}
+
+TEST_F(StoreRobustnessTest, FetchSummaryReadsAndFreshensByKey) {
+  obs::MetricsRegistry metrics;
+  ResultStore store{root_, &metrics};
+  const auto spec = tiny_spec();
+
+  store.write_summary(spec, 1, "{\"id\":1}");
+  store.write_summary(spec, 2, "{\"id\":2}");
+  store.lookup(spec, 2);  // 2 is now fresher than 1.
+  const std::string key = ResultStore::entry_key(spec.content_hash(), 1);
+  EXPECT_EQ(key, store.entry_key(spec, 1));
+  EXPECT_EQ(store.fetch_summary(key), "{\"id\":1}");  // ...until served.
+
+  const auto entries = store.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  const auto& e1 = entries[0].key == key ? entries[0] : entries[1];
+  const auto& e2 = entries[0].key == key ? entries[1] : entries[0];
+  EXPECT_GT(e1.last_used, e2.last_used);
+
+  // A served hit is not a campaign admission, and a missing entry is
+  // neither read nor created.
+  EXPECT_EQ(metrics.counter_value("scenario.cache.hit"), 1.0);
+  const std::string missing = store.entry_key(spec, 99);
+  EXPECT_EQ(store.fetch_summary(missing), std::nullopt);
+  EXPECT_FALSE(fs::exists(store.entry_dir(missing)));
 }
 
 TEST_F(StoreRobustnessTest, LockWaitTimesOutWithBoundedRetries) {
@@ -252,6 +279,41 @@ TEST_F(StoreRobustnessTest, CorruptSummaryIsEvictedAndReRun) {
   EXPECT_TRUE(result.complete);
   EXPECT_FALSE(result.from_cached_summary);
   EXPECT_EQ(result.summary, run_scenario(spec).summary);
+}
+
+TEST_F(StoreRobustnessTest, MultiLineSummaryIsEvictedAndReRun) {
+  // A pretty-printed (hand-edited) summary still parses, but its raw
+  // newlines would split a newline-framed serve response it is spliced
+  // into: the checked read treats it as corrupt, like a torn one.
+  obs::MetricsRegistry metrics;
+  ResultStore store{root_, &metrics};
+  const auto spec = tiny_spec();
+  const std::string canonical = run_scenario(spec).summary;
+  ASSERT_EQ(canonical.find('\n'), std::string::npos);
+  const std::string pretty =
+      "{\n  " + canonical.substr(1, canonical.size() - 2) + "\n}";
+  ASSERT_EQ(Json::parse(pretty).canonical(), canonical);
+
+  for (const std::string& damaged : {pretty, canonical + "\n"}) {
+    write_raw(store.summary_path(spec, spec.seed), damaged);
+    const auto reports = store.verify();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_FALSE(reports[0].ok);
+    EXPECT_EQ(store.read_summary_checked(spec, spec.seed), std::nullopt);
+    EXPECT_FALSE(store.has_summary(spec, spec.seed));
+  }
+  EXPECT_EQ(metrics.counter_value("scenario.cache.corrupt_summaries"), 2.0);
+
+  // End to end: the run re-derives and republishes the one-line summary.
+  write_raw(store.summary_path(spec, spec.seed), pretty);
+  RunOptions options;
+  options.store = &store;
+  const auto result = run_scenario(spec, options);
+  EXPECT_TRUE(result.complete);
+  EXPECT_FALSE(result.from_cached_summary);
+  EXPECT_EQ(result.summary, canonical);
+  EXPECT_EQ(metrics.counter_value("scenario.cache.corrupt_summaries"), 3.0);
+  EXPECT_EQ(store.read_summary_checked(spec, spec.seed), canonical);
 }
 
 TEST_F(StoreRobustnessTest, BudgetEvictsLeastRecentlyUsedFirst) {

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "scenario/json.h"
 #include "scenario/registry.h"
 #include "scenario/result_store.h"
+#include "scenario/runner.h"
 
 namespace cloudrepro::serve {
 namespace {
@@ -116,6 +119,45 @@ TEST(ServeProtocol, GetResponseSummaryBytesAreIdentity) {
   EXPECT_EQ(response.hash, std::string(64, 'a'));
   EXPECT_EQ(response.seed, 7u);
   EXPECT_EQ(response.hit, "hit");
+}
+
+/// The GET response as a whole canonical document: the summary parsed and
+/// embedded as a value. get_response splices the summary bytes instead and
+/// must produce exactly these bytes.
+std::string parse_then_embed(const std::string& hash, std::uint64_t seed,
+                             const std::string& hit, const std::string& summary) {
+  scenario::JsonObject root;
+  root["hash"] = Json{hash};
+  root["hit"] = Json{hit};
+  root["ok"] = Json{true};
+  root["seed"] = Json{seed};
+  root["summary"] = Json::parse(summary);
+  return Json{std::move(root)}.canonical();
+}
+
+TEST(ServeProtocol, SplicedGetResponseEqualsParseThenEmbed) {
+  // Real summaries (doubles, nested confirm blocks, bools), every
+  // disposition label, and the seed's extremes.
+  for (const char* name : {"ci-smoke", "ci-adaptive", "fig15-terasort-budget"}) {
+    const ScenarioSpec& spec = ScenarioRegistry::builtin().at(name);
+    const std::string summary = scenario::run_scenario(spec).summary;
+    const std::string hash = spec.content_hash();
+    for (const std::uint64_t seed :
+         {spec.seed, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()}) {
+      for (const std::string hit : {"hit", "miss", "partial", "coalesced", "peer"}) {
+        SCOPED_TRACE(std::string{name} + " seed " + std::to_string(seed) + " " + hit);
+        const std::string frame = get_response(hash, seed, hit, summary);
+        EXPECT_EQ(frame, parse_then_embed(hash, seed, hit, summary));
+        EXPECT_EQ(frame.find('\n'), std::string::npos);
+        const Response response = parse_response(frame);
+        EXPECT_TRUE(response.ok);
+        EXPECT_EQ(response.summary, summary);
+        EXPECT_EQ(response.hash, hash);
+        EXPECT_EQ(response.seed, seed);
+        EXPECT_EQ(response.hit, hit);
+      }
+    }
+  }
 }
 
 TEST(ServeProtocol, ListAndStatsResponsesCarryTheWholeBody) {

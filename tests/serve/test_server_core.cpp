@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
@@ -75,14 +76,15 @@ void send(ServerCore& core, TestClient& client, const std::string& frame) {
 }
 
 /// Pumps the reactor until the client has one whole response line (or the
-/// connection dies — nullopt).
-std::optional<Response> recv(ServerCore& core, TestClient& client,
-                             std::chrono::seconds timeout = std::chrono::seconds{120}) {
+/// connection dies — nullopt) and returns its raw bytes.
+std::optional<std::string> recv_frame(
+    ServerCore& core, TestClient& client,
+    std::chrono::seconds timeout = std::chrono::seconds{120}) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::string frame;
   for (;;) {
     if (client.decoder.next(frame) == FrameDecoder::Status::kFrame) {
-      return parse_response(frame);
+      return frame;
     }
     char buffer[4096];
     const IoResult result = client.transport->read(buffer, sizeof buffer);
@@ -99,6 +101,14 @@ std::optional<Response> recv(ServerCore& core, TestClient& client,
       core.wait_activity(std::chrono::milliseconds{1});
     }
   }
+}
+
+/// `recv_frame`, parsed.
+std::optional<Response> recv(ServerCore& core, TestClient& client,
+                             std::chrono::seconds timeout = std::chrono::seconds{120}) {
+  const auto frame = recv_frame(core, client, timeout);
+  if (!frame) return std::nullopt;
+  return parse_response(*frame);
 }
 
 class ServeCoreTest : public ::testing::Test {
@@ -285,6 +295,49 @@ TEST_F(ServeCoreTest, GetByHashResolvesAgainstRegistryIndex) {
   EXPECT_EQ(response->hash, hash);
 }
 
+TEST_F(ServeCoreTest, NameHashAndInlineSpecServeOneEntryIdentically) {
+  // Three addresses of one stored entry: the registry spec's hash is
+  // precomputed, the inline spec is hashed once per request. All three
+  // must reach the same entry key and serve the same frame as a hit —
+  // never as a campaign admission.
+  scenario::ScenarioRegistry registry;
+  ScenarioSpec first = tiny_spec("serve-addressing-first");
+  first.repetitions = 2;  // Another hash, so the target's catalog position matters.
+  registry.add(first);
+  registry.add(tiny_spec("serve-addressing"));
+  const ScenarioSpec& spec = registry.at("serve-addressing");
+  {
+    scenario::RunOptions run;
+    run.store = &*store_;
+    scenario::run_scenario(spec, run);  // Warm the cache.
+  }
+  ServeOptions options;
+  options.registry = &registry;
+  TestClient client = connect(core(std::move(options)));
+
+  std::vector<std::string> frames;
+  for (const std::string& request :
+       {get_request_frame_by_name(spec.name, std::nullopt),
+        get_request_frame_by_hash(spec.content_hash(), spec.seed),
+        get_request_frame(spec, std::nullopt)}) {
+    SCOPED_TRACE(request.substr(0, 60));
+    const double served = metrics_.counter_value("serve.get_hit");
+    const double admitted = metrics_.counter_value("scenario.cache.hit");
+    send(core(), client, request);
+    const auto frame = recv_frame(core(), client);
+    ASSERT_TRUE(frame);
+    EXPECT_EQ(metrics_.counter_value("serve.get_hit"), served + 1.0);
+    EXPECT_EQ(metrics_.counter_value("scenario.cache.hit"), admitted);
+    frames.push_back(*frame);
+  }
+  EXPECT_EQ(frames[1], frames[0]);
+  EXPECT_EQ(frames[2], frames[0]);
+  const Response response = parse_response(frames[0]);
+  EXPECT_EQ(response.hit, "hit");
+  EXPECT_EQ(response.hash, spec.content_hash());
+  EXPECT_EQ(response.summary, store_->read_summary(spec, spec.seed));
+}
+
 TEST_F(ServeCoreTest, ConnectionTableBoundRejectsTheOverflow) {
   ServeOptions options;
   options.max_connections = 2;
@@ -410,6 +463,45 @@ TEST_F(ServeCoreTest, CorruptSummaryOnDiskIsEvictedAndReExecuted) {
   EXPECT_NE(response->hit, "hit") << "corrupt summary must not serve as a hit";
   EXPECT_EQ(response->summary, pristine);
   EXPECT_GE(metrics_.counter_value("scenario.cache.corrupt_summaries"), 1.0);
+}
+
+TEST_F(ServeCoreTest, MultiLineSummaryOnDiskIsNotSplicedIntoTheFrame) {
+  const ScenarioSpec spec = tiny_spec();
+  std::string pristine;
+  {
+    scenario::RunOptions run;
+    run.store = &*store_;
+    pristine = scenario::run_scenario(spec, run).summary;
+  }
+  // Pretty-printed by hand: valid JSON, but spliced verbatim its newlines
+  // would split the response into several frames.
+  const std::string pretty =
+      "{\n  " + pristine.substr(1, pristine.size() - 2) + "\n}";
+  ASSERT_EQ(Json::parse(pretty).canonical(), pristine);
+  {
+    std::ofstream out{store_->summary_path(spec, spec.seed),
+                      std::ios::binary | std::ios::trunc};
+    out << pretty;
+  }
+
+  TestClient client = connect(core());
+  send(core(), client, get_request_frame(spec, std::nullopt));
+  const auto response = recv(core(), client);
+  ASSERT_TRUE(response && response->ok);
+  EXPECT_NE(response->hit, "hit") << "a multi-line summary must not serve as a hit";
+  EXPECT_EQ(response->summary, pristine);
+  EXPECT_GE(metrics_.counter_value("scenario.cache.corrupt_summaries"), 1.0);
+
+  // Exactly one frame answered the one request.
+  core().pump_until_idle();
+  char buffer[4096];
+  for (;;) {
+    const IoResult result = client.transport->read(buffer, sizeof buffer);
+    if (result.status != IoStatus::kOk) break;
+    client.decoder.push({buffer, result.bytes});
+  }
+  std::string extra;
+  EXPECT_EQ(client.decoder.next(extra), FrameDecoder::Status::kNeedMore) << extra;
 }
 
 TEST_F(ServeCoreTest, PeerReadThroughServesWithoutLocalExecution) {
