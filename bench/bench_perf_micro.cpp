@@ -240,6 +240,29 @@ void BM_ServeRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeRequest)->Arg(0)->Arg(1);
 
+// The client's half of a warm `cloudrepro fetch`: `parse_response` on the
+// GET frame the server sends for a real registry summary (parse the frame,
+// re-canonicalise the summary member). Arg 0 is fig16-hibench-budget's
+// summary (~6 KB), arg 1 fig17-tpcds-budget's (~25 KB); BM_ServeRequest's
+// two-repetition toy summary is too small to show this cost.
+void BM_FetchDecode(benchmark::State& state) {
+  const char* name = state.range(0) == 0 ? "fig16-hibench-budget" : "fig17-tpcds-budget";
+  const auto& spec = scenario::ScenarioRegistry::builtin().at(name);
+  const std::string summary = scenario::run_scenario(spec, {}).summary;
+  const std::string frame =
+      serve::get_response(spec.content_hash(), spec.seed, "hit", summary);
+  for (auto _ : state) {
+    const serve::Response response = serve::parse_response(frame);
+    benchmark::DoNotOptimize(response.summary.data());
+  }
+  if (serve::parse_response(frame).summary != summary) {
+    state.SkipWithError("decoded summary differs from the served bytes");
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * frame.size()));
+  state.SetLabel(name);
+}
+BENCHMARK(BM_FetchDecode)->Arg(0)->Arg(1);
+
 void BM_MedianCi(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   stats::Rng rng{4};

@@ -53,7 +53,7 @@ cloudrepro_bench(bench_perf_micro)
 target_link_libraries(bench_perf_micro PRIVATE cloudrepro_scenario cloudrepro_serve benchmark::benchmark)
 
 # Perf trajectory: `cmake --build build --target bench-smoke` runs the
-# campaign/fluid/suite/serve/Spark-job microbenches and records
+# campaign/fluid/suite/serve/fetch-decode/Spark-job microbenches and records
 # machine-readable results in ${CMAKE_BINARY_DIR}/BENCH_campaign.json —
 # commit-over-commit numbers come from diffing these files, not from
 # eyeballing console output.
@@ -65,7 +65,7 @@ target_link_libraries(bench_perf_micro PRIVATE cloudrepro_scenario cloudrepro_se
 # numbers would still be garbage). Override for local experiments with
 # -DCLOUDREPRO_BENCH_ALLOW_NONRELEASE=ON.
 set(CLOUDREPRO_BENCH_FILTER
-    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SuiteSharedPool|BM_ServeRequest|BM_SparkJob")
+    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SuiteSharedPool|BM_ServeRequest|BM_FetchDecode|BM_SparkJob")
 if(CMAKE_BUILD_TYPE STREQUAL "Release" OR CLOUDREPRO_BENCH_ALLOW_NONRELEASE)
   add_custom_target(bench-smoke
     COMMAND $<TARGET_FILE:bench_perf_micro>

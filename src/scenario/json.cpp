@@ -1,11 +1,13 @@
 #include "scenario/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
-#include <sstream>
+#include <forward_list>
+#include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace cloudrepro::scenario {
 
@@ -18,37 +20,75 @@ namespace {
                   names[static_cast<int>(got)]};
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const unsigned char c : s) {
+/// Appends `s` as a JSON string literal: '"' and '\' escaped, the
+/// two-character escapes for \b \f \n \r \t, lowercase \u00XX for the other
+/// control bytes, every other byte (raw UTF-8 included) as is.
+void append_escaped(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.push_back('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << static_cast<char>(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
-  os << '"';
+  out.append(s, run);
+  out.push_back('"');
 }
 
-/// Recursive-descent parser over a string_view with a single cursor.
+template <typename Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, end);
+}
+
+/// Shortest round-trip form, "-0" normalized to "0".
+void append_double(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    throw JsonError{"json: non-finite double has no canonical form"};
+  }
+  if (value == 0.0) {  // Normalizes -0.
+    out.push_back('0');
+    return;
+  }
+  char buf[40];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  if (ec != std::errc{}) throw JsonError{"json: double formatting failed"};
+  out.append(buf, end);
+}
+
+/// What a validating parse returns in place of a value.
+struct NoValue {};
+
+/// Recursive-descent parser over a string_view with a single cursor. One
+/// grammar, two modes: Parser<true> builds the Json tree; Parser<false>
+/// (Json::valid) accepts and rejects exactly the same inputs but builds
+/// nothing. Its strings are skipped rather than decoded, except object keys
+/// that contain escapes, which duplicate-key detection must compare decoded.
+template <bool kBuild>
 class Parser {
  public:
+  using Value = std::conditional_t<kBuild, Json, NoValue>;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Json parse_document() {
-    Json value = parse_value();
+  Value parse_document() {
+    Value value = parse_value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return value;
@@ -57,6 +97,15 @@ class Parser {
  private:
   [[noreturn]] void fail(const std::string& why) const {
     throw JsonError{"json parse error at offset " + std::to_string(pos_) + ": " + why};
+  }
+
+  template <typename T>
+  static Value make(T&& value) {
+    if constexpr (kBuild) {
+      return Json{std::forward<T>(value)};
+    } else {
+      return {};
+    }
   }
 
   void skip_ws() {
@@ -94,18 +143,24 @@ class Parser {
   /// documents nest a handful of levels deep.
   static constexpr int kMaxDepth = 64;
 
-  Json parse_value() {
+  Value parse_value() {
     if (depth_ >= kMaxDepth) fail("nesting too deep");
     ++depth_;
     skip_ws();
-    Json value = [&] {
+    Value value = [&]() -> Value {
       switch (peek()) {
         case '{': return parse_object();
         case '[': return parse_array();
-        case '"': return Json{parse_string()};
-        case 't': expect_literal("true"); return Json{true};
-        case 'f': expect_literal("false"); return Json{false};
-        case 'n': expect_literal("null"); return Json{nullptr};
+        case '"':
+          if constexpr (kBuild) {
+            return Json{parse_string()};
+          } else {
+            scan_string(nullptr);
+            return {};
+          }
+        case 't': expect_literal("true"); return make(true);
+        case 'f': expect_literal("false"); return make(false);
+        case 'n': expect_literal("null"); return make(nullptr);
         default: return parse_number();
       }
     }();
@@ -113,42 +168,88 @@ class Parser {
     return value;
   }
 
-  Json parse_object() {
+  Value parse_object() {
     expect('{');
-    JsonObject object;
+    // Build mode collects members into a map, whose emplace rejects a
+    // duplicate key; validate mode pushes this object's keys onto keys_
+    // from index `first_key` and checks them when the object closes.
+    [[maybe_unused]] JsonObject object;
+    [[maybe_unused]] const std::size_t first_key = keys_.size();
     skip_ws();
-    if (consume('}')) return Json{std::move(object)};
+    if (consume('}')) return make(std::move(object));
     for (;;) {
       skip_ws();
       if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      if (!object.emplace(std::move(key), parse_value()).second) {
-        fail("duplicate object key");
+      if constexpr (kBuild) {
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        if (!object.emplace(std::move(key), parse_value()).second) {
+          fail("duplicate object key");
+        }
+      } else {
+        keys_.push_back(parse_key());
+        skip_ws();
+        expect(':');
+        parse_value();
       }
       skip_ws();
       if (consume(',')) continue;
       expect('}');
-      return Json{std::move(object)};
+      if constexpr (!kBuild) check_unique_keys(first_key);
+      return make(std::move(object));
     }
   }
 
-  Json parse_array() {
+  Value parse_array() {
     expect('[');
-    JsonArray array;
+    [[maybe_unused]] JsonArray array;
     skip_ws();
-    if (consume(']')) return Json{std::move(array)};
+    if (consume(']')) return make(std::move(array));
     for (;;) {
-      array.push_back(parse_value());
+      if constexpr (kBuild) {
+        array.push_back(parse_value());
+      } else {
+        parse_value();
+      }
       skip_ws();
       if (consume(',')) continue;
       expect(']');
-      return Json{std::move(array)};
+      return make(std::move(array));
     }
   }
 
-  void append_utf8(std::string& out, unsigned long cp) {
+  /// Validate mode: a key as a view into the input, or — for a key with
+  /// escapes, so that "a" and "\u0061" collide — into its decoded copy.
+  std::string_view parse_key() {
+    const std::size_t start = pos_;
+    if (!scan_string(nullptr)) return text_.substr(start + 1, pos_ - start - 2);
+    pos_ = start;
+    std::string& decoded = decoded_keys_.emplace_front();
+    scan_string(&decoded);
+    return decoded;
+  }
+
+  /// Validate mode: fails on a repeated key among keys_[first..], then pops
+  /// them. Canonical documents arrive key-sorted, so the sort is rare.
+  void check_unique_keys(std::size_t first) {
+    const auto begin = keys_.begin() + static_cast<std::ptrdiff_t>(first);
+    if (std::adjacent_find(begin, keys_.end(), std::greater_equal<>{}) != keys_.end()) {
+      std::sort(begin, keys_.end());
+      if (std::adjacent_find(begin, keys_.end()) != keys_.end()) {
+        fail("duplicate object key");
+      }
+    }
+    keys_.resize(first);
+  }
+
+  std::string parse_string() {
+    std::string out;
+    scan_string(&out);
+    return out;
+  }
+
+  static void append_utf8(std::string& out, unsigned long cp) {
     if (cp < 0x80) {
       out.push_back(static_cast<char>(cp));
     } else if (cp < 0x800) {
@@ -180,29 +281,36 @@ class Parser {
     return value;
   }
 
-  std::string parse_string() {
+  /// Scans one string literal from its opening quote, appending the decoded
+  /// bytes to `out` when there is one. Returns whether it held an escape.
+  bool scan_string(std::string* out) {
     expect('"');
-    std::string out;
+    bool escaped = false;
     for (;;) {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      if (out) out->append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c == '"') return escaped;
+      if (c != '\\') fail("raw control character in string");
+      escaped = true;
       if (pos_ >= text_.size()) fail("truncated escape");
       const char e = text_[pos_++];
+      char simple = 0;
       switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': simple = '"'; break;
+        case '\\': simple = '\\'; break;
+        case '/': simple = '/'; break;
+        case 'b': simple = '\b'; break;
+        case 'f': simple = '\f'; break;
+        case 'n': simple = '\n'; break;
+        case 'r': simple = '\r'; break;
+        case 't': simple = '\t'; break;
         case 'u': {
           unsigned long cp = parse_hex4();
           if (cp >= 0xD800 && cp <= 0xDBFF) {
@@ -217,15 +325,16 @@ class Parser {
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             fail("unpaired surrogate");
           }
-          append_utf8(out, cp);
-          break;
+          if (out) append_utf8(*out, cp);
+          continue;
         }
         default: fail("bad escape character");
       }
+      if (out) out->push_back(simple);
     }
   }
 
-  Json parse_number() {
+  Value parse_number() {
     const std::size_t start = pos_;
     if (consume('-')) {}
     while (pos_ < text_.size() &&
@@ -261,7 +370,7 @@ class Parser {
       if (token[0] == '-') {
         std::int64_t v = 0;
         const auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
-        if (ec == std::errc{} && p == token.end()) return Json{v};
+        if (ec == std::errc{} && p == token.end()) return make(v);
       } else {
         std::uint64_t v = 0;
         const auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
@@ -269,9 +378,9 @@ class Parser {
           // Small non-negative integers stay kInt so 3 == 3 regardless of
           // whether the value came from an int or size_t constructor.
           if (v <= static_cast<std::uint64_t>(INT64_MAX)) {
-            return Json{static_cast<std::int64_t>(v)};
+            return make(static_cast<std::int64_t>(v));
           }
-          return Json{v};
+          return make(v);
         }
       }
       // Integer out of 64-bit range: fall through to double.
@@ -279,25 +388,24 @@ class Parser {
     double v = 0.0;
     const auto [p, ec] = std::from_chars(token.begin(), token.end(), v);
     if (ec != std::errc{} || p != token.end()) fail("number out of range");
-    return Json{v};
+    return make(v);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  /// Validate mode only: the keys of every open object, innermost last.
+  std::vector<std::string_view> keys_;
+  /// Validate mode only: decoded copies of escaped keys, at stable addresses.
+  std::forward_list<std::string> decoded_keys_;
 };
 
 }  // namespace
 
 std::string canonical_double(double value) {
-  if (!std::isfinite(value)) {
-    throw JsonError{"json: non-finite double has no canonical form"};
-  }
-  if (value == 0.0) return "0";  // Normalizes -0.
-  char buf[40];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  if (ec != std::errc{}) throw JsonError{"json: double formatting failed"};
-  return std::string{buf, end};
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 bool Json::as_bool() const {
@@ -412,45 +520,54 @@ bool Json::operator==(const Json& other) const noexcept {
   }
 }
 
-void Json::write(std::ostream& os) const {
+void Json::append_canonical(std::string& out) const {
   switch (type_) {
-    case Type::kNull: os << "null"; break;
-    case Type::kBool: os << (bool_ ? "true" : "false"); break;
-    case Type::kInt: os << int_; break;
-    case Type::kUInt: os << uint_; break;
-    case Type::kDouble: os << canonical_double(double_); break;
-    case Type::kString: write_escaped(os, string_); break;
+    case Type::kNull: out += "null"; break;
+    case Type::kBool: out += bool_ ? "true" : "false"; break;
+    case Type::kInt: append_integer(out, int_); break;
+    case Type::kUInt: append_integer(out, uint_); break;
+    case Type::kDouble: append_double(out, double_); break;
+    case Type::kString: append_escaped(out, string_); break;
     case Type::kArray: {
-      os << '[';
+      out.push_back('[');
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) os << ',';
-        array_[i].write(os);
+        if (i > 0) out.push_back(',');
+        array_[i].append_canonical(out);
       }
-      os << ']';
+      out.push_back(']');
       break;
     }
     case Type::kObject: {
-      os << '{';
+      out.push_back('{');
       bool first = true;
       for (const auto& [key, value] : object_) {
-        if (!first) os << ',';
+        if (!first) out.push_back(',');
         first = false;
-        write_escaped(os, key);
-        os << ':';
-        value.write(os);
+        append_escaped(out, key);
+        out.push_back(':');
+        value.append_canonical(out);
       }
-      os << '}';
+      out.push_back('}');
       break;
     }
   }
 }
 
 std::string Json::canonical() const {
-  std::ostringstream ss;
-  write(ss);
-  return ss.str();
+  std::string out;
+  append_canonical(out);
+  return out;
 }
 
-Json Json::parse(std::string_view text) { return Parser{text}.parse_document(); }
+Json Json::parse(std::string_view text) { return Parser<true>{text}.parse_document(); }
+
+bool Json::valid(std::string_view text) noexcept {
+  try {
+    Parser<false>{text}.parse_document();
+    return true;
+  } catch (const JsonError&) {
+    return false;
+  }
+}
 
 }  // namespace cloudrepro::scenario

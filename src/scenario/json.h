@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -21,7 +20,11 @@ namespace cloudrepro::scenario {
 ///     representation that parses back to the same binary64
 ///     (std::to_chars), integers as integers; parse(canonical(x)) == x.
 ///  3. **No dependencies.** The container image ships no JSON library; this
-///     one is ~300 lines and exactly as strict as the catalog needs.
+///     one is a few hundred lines and exactly as strict as the catalog needs.
+///  4. **One grammar, two uses.** `parse` builds the tree; `valid` runs the
+///     same parser without building anything, for callers that only need
+///     to know a document parses (the result store's checked read of a
+///     summary it is about to serve).
 class Json;
 
 using JsonArray = std::vector<Json>;
@@ -50,7 +53,6 @@ class Json {
   Json(JsonObject o) : type_(Type::kObject), object_(std::move(o)) {}
 
   Type type() const noexcept { return type_; }
-  bool is_null() const noexcept { return type_ == Type::kNull; }
   bool is_bool() const noexcept { return type_ == Type::kBool; }
   bool is_number() const noexcept {
     return type_ == Type::kInt || type_ == Type::kUInt || type_ == Type::kDouble;
@@ -88,12 +90,16 @@ class Json {
   /// round-trip numbers. Throws JsonError on non-finite doubles (canonical
   /// JSON has no NaN/Infinity).
   std::string canonical() const;
-  void write(std::ostream& os) const;
 
   /// Strict parser: one complete value, trailing whitespace only.
   static Json parse(std::string_view text);
+  /// Whether `parse(text)` would succeed, without building the value: the
+  /// same grammar run in a mode that keeps no tree (see json.cpp's Parser).
+  static bool valid(std::string_view text) noexcept;
 
  private:
+  void append_canonical(std::string& out) const;
+
   Type type_;
   bool bool_ = false;
   std::int64_t int_ = 0;

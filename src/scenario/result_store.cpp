@@ -82,21 +82,12 @@ bool parse_entry_key(const std::string& key, int& schema_version) {
   return true;
 }
 
-bool parses_as_json(const std::string& text) {
-  try {
-    Json::parse(text);
-    return true;
-  } catch (const JsonError&) {
-    return false;
-  }
-}
-
-/// What a servable summary.json must be. The newline rule is what lets a
-/// server splice the stored bytes into a one-line response frame; only a
-/// hand edit (a pretty-printed summary) can break it.
+/// What a servable summary.json must be: non-empty, one line, and
+/// `Json::valid` (parses, checked without building a tree). The newline rule
+/// is what lets a server splice the stored bytes into a one-line response
+/// frame; only a hand edit (a pretty-printed summary) can break it.
 bool summary_intact(const std::string& text) {
-  return !text.empty() && text.find('\n') == std::string::npos &&
-         parses_as_json(text);
+  return !text.empty() && text.find('\n') == std::string::npos && Json::valid(text);
 }
 
 }  // namespace
@@ -491,7 +482,7 @@ std::vector<ResultStore::VerifyReport> ResultStore::verify() const {
     const auto dir = root_ / info.key;
 
     if (const auto spec_text = vfs_->read_file(dir / "scenario.json");
-        spec_text && !parses_as_json(*spec_text)) {
+        spec_text && !Json::valid(*spec_text)) {
       report.ok = false;
       report.note = "scenario.json does not parse";
     }

@@ -141,9 +141,10 @@ class ResultStore {
   /// validation — pair with `read_summary_checked` when serving cache hits.
   std::optional<std::string> read_summary(const ScenarioSpec& spec,
                                           std::uint64_t seed) const;
-  /// `read_summary` plus integrity validation: non-empty, no raw newline
-  /// (a canonical summary has none, and servers splice the stored bytes
-  /// into newline-framed responses), and parses as JSON. A corrupt summary
+  /// `read_summary` plus integrity validation: non-empty, one line (a
+  /// canonical summary has no raw newline, and servers splice the stored
+  /// bytes into newline-framed responses), and `Json::valid` — accepted by
+  /// the parser, checked without building the tree. A corrupt summary
   /// — possible only through external damage or a hand edit, since
   /// publication is fsync-then-rename — is removed (the journal stays, so
   /// the re-run resumes), bumps scenario.cache.corrupt_summaries, and
@@ -204,8 +205,9 @@ class ResultStore {
     bool ok = true;
     std::string note;  ///< Problem description, or informational detail.
   };
-  /// Integrity-checks every entry: scenario.json and summary.json must
-  /// parse as JSON; journal records must pass their checksums. A torn
+  /// Integrity-checks every entry: scenario.json must be `Json::valid`,
+  /// summary.json must pass the checked read's rule (non-empty, one line,
+  /// `Json::valid`); journal records must pass their checksums. A torn
   /// journal tail is reported in `note` but stays `ok` — resume heals it.
   std::vector<VerifyReport> verify() const;
 

@@ -190,11 +190,11 @@ std::string error_response(std::string_view code, std::string_view message) {
 
 std::string get_response(const std::string& hash, std::uint64_t seed,
                          std::string_view hit, const std::string& summary_json) {
-  // The summary bytes are canonical and newline-free (the store's checked
-  // read evicts any that are not), so splicing them verbatim after the
-  // other members, in canonical key order, gives the bytes canonicalising
-  // the whole document would, without parsing a summary the store has just
-  // validated.
+  // The summary bytes are canonical as `summary_json` wrote them, and
+  // one-line, valid JSON (the store's checked read evicts any that are
+  // not), so splicing them verbatim after the other members, in canonical
+  // key order, gives the bytes canonicalising the whole document would,
+  // without parsing a summary the store has just validated.
   std::string out = R"({"hash":)";
   out.reserve(summary_json.size() + hash.size() + hit.size() + 64);
   out += Json{hash}.canonical();
@@ -486,16 +486,6 @@ std::string stats_request_frame() {
   JsonObject root;
   root["op"] = Json{"STATS"};
   root["protocol"] = Json{kProtocolVersion};
-  return Json{std::move(root)}.canonical();
-}
-
-std::string shard_plan_request_frame_by_name(
-    std::string_view name, std::optional<std::uint64_t> seed) {
-  JsonObject root;
-  root["op"] = Json{"SHARD_PLAN"};
-  root["protocol"] = Json{kProtocolVersion};
-  root["scenario"] = Json{std::string{name}};
-  if (seed) root["seed"] = Json{*seed};
   return Json{std::move(root)}.canonical();
 }
 

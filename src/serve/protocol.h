@@ -64,8 +64,10 @@ Request parse_request(std::string_view frame);
 /// "ok" discriminator.
 std::string error_response(std::string_view code, std::string_view message);
 /// GET success. `summary_json` must be canonical and newline-free: what
-/// `scenario::summary_json` produces, what the store's checked read admits,
-/// and what `cloudrepro run` prints on a hit. Those bytes are spliced in verbatim as the
+/// `scenario::summary_json` produces and what `cloudrepro run` prints on a
+/// hit. The store's checked read admits only non-empty, one-line,
+/// `Json::valid` bytes, so a hand-edited summary can never split a frame or
+/// embed a non-JSON member. Those bytes are spliced in verbatim as the
 /// "summary" member, so the frame equals the canonical document and a
 /// fetched summary stays byte-identical to `cloudrepro run` output.
 /// `hit` is the server-side disposition: "hit" (served from cache),
@@ -151,8 +153,6 @@ std::string get_request_frame_by_hash(std::string_view hash,
                                       std::uint64_t seed);
 std::string list_request_frame();
 std::string stats_request_frame();
-std::string shard_plan_request_frame_by_name(std::string_view name,
-                                             std::optional<std::uint64_t> seed);
 std::string shard_pull_request_frame(std::string_view worker);
 std::string shard_push_request_frame(std::string_view worker,
                                      const std::string& key, std::size_t cell,

@@ -103,6 +103,39 @@ TEST(ScenarioJson, DoubleFormattingGoldenLiterals) {
   }
 }
 
+// Golden literals for the canonical writer. Spec content hashes and cache
+// keys are SHA-256s of these bytes, so any change here moves every cache key.
+TEST(ScenarioJson, CanonicalWriterGoldenLiterals) {
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  EXPECT_EQ(Json{controls}.canonical(),
+            R"("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007)"
+            R"(\b\t\n\u000b\f\r\u000e\u000f)"
+            R"(\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+            R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f")");
+  // '"' and '\' are escaped, '/' and raw UTF-8 (é, U+1F600) pass through.
+  EXPECT_EQ(Json{"q\"b\\s/e\xc3\xa9g\xf0\x9f\x98\x80" "x\x7f"}.canonical(),
+            "\"q\\\"b\\\\s/e\xc3\xa9g\xf0\x9f\x98\x80" "x\x7f\"");
+  EXPECT_EQ(Json{std::numeric_limits<std::int64_t>::min()}.canonical(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json{std::numeric_limits<std::uint64_t>::max()}.canonical(),
+            "18446744073709551615");
+  EXPECT_EQ(Json{-0.0}.canonical(), "0");
+  EXPECT_EQ(Json{0}.canonical(), "0");
+  EXPECT_EQ(Json{-1.5e-7}.canonical(), "-1.5e-07");
+
+  JsonObject empties;
+  empties["a"] = Json{JsonArray{}};
+  empties["b"] = Json{JsonObject{}};
+  empties["c"] = Json{JsonArray{Json{JsonArray{}}, Json{JsonObject{}}, Json{}}};
+  empties["d"] = Json{""};
+  empties["\t"] = Json{false};
+  EXPECT_EQ(Json{empties}.canonical(),
+            R"({"\t":false,"a":[],"b":{},"c":[[],{},null],"d":""})");
+  EXPECT_EQ(Json{JsonArray{}}.canonical(), "[]");
+  EXPECT_EQ(Json{JsonObject{}}.canonical(), "{}");
+}
+
 TEST(ScenarioJson, NonFiniteDoublesAreRejected) {
   EXPECT_THROW(canonical_double(std::numeric_limits<double>::infinity()), JsonError);
   EXPECT_THROW(canonical_double(std::nan("")), JsonError);

@@ -1,6 +1,7 @@
 // Adversarial bytes into the canonical JSON parser: truncations, bit
 // flips, and garbage must throw JsonError or parse into a value that
-// round-trips — never crash, hang, or silently mis-parse.
+// round-trips — never crash, hang, or silently mis-parse. Every input also
+// goes through Json::valid, which must accept exactly what parse accepts.
 
 #include "scenario/json.h"
 
@@ -21,15 +22,37 @@ std::string sample_document() {
 }
 
 /// The contract under attack: parsing either throws JsonError or yields a
-/// value whose canonical form re-parses to the same canonical form.
+/// value whose canonical form re-parses to the same canonical form, and
+/// Json::valid agrees with parse on which of the two happened.
 void parse_or_reject(const std::string& text) {
+  bool parsed_ok = false;
   try {
     const Json parsed = Json::parse(text);
+    parsed_ok = true;
     const std::string canonical = parsed.canonical();
     EXPECT_EQ(Json::parse(canonical).canonical(), canonical);
+    EXPECT_TRUE(Json::valid(canonical));
   } catch (const JsonError&) {
     // Rejection is always acceptable.
   }
+  EXPECT_EQ(Json::valid(text), parsed_ok) << "valid and parse disagree on: " << text;
+}
+
+/// Pins both the outcome and the agreement for one hand-picked input.
+void expect_verdict(const std::string& text, bool accepted) {
+  bool parsed_ok = true;
+  try {
+    (void)Json::parse(text);
+  } catch (const JsonError&) {
+    parsed_ok = false;
+  }
+  EXPECT_EQ(parsed_ok, accepted) << "parse of: " << text;
+  EXPECT_EQ(Json::valid(text), accepted) << "valid of: " << text;
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
 }
 
 TEST(JsonAdversarialTest, CanonicalDocumentRoundTrips) {
@@ -43,6 +66,8 @@ TEST(JsonAdversarialTest, EveryStrictPrefixOfAnObjectIsRejected) {
   for (std::size_t len = 0; len < doc.size(); ++len) {
     EXPECT_THROW(Json::parse(doc.substr(0, len)), JsonError)
         << "prefix of length " << len << " parsed as complete";
+    EXPECT_FALSE(Json::valid(doc.substr(0, len)))
+        << "prefix of length " << len << " validated as complete";
   }
 }
 
@@ -89,9 +114,59 @@ TEST(JsonAdversarialTest, DeepNestingRejectsInsteadOfOverflowing) {
   // without exhausting the stack.
   const std::string open(100000, '[');
   EXPECT_THROW(Json::parse(open), JsonError);
+  EXPECT_FALSE(Json::valid(open));
   std::string closed = open;
   closed.append(100000, ']');
   parse_or_reject(closed);
+}
+
+TEST(JsonAdversarialTest, ValidMatchesParseOnEdgeInputs) {
+  // Keys that are duplicates only once decoded; distinct escaped keys.
+  expect_verdict(R"({"a":1,"\u0061":2})", false);
+  expect_verdict(R"({"\u0061":1,"a":2})", false);
+  expect_verdict(R"({"/":1,"\/":2})", false);
+  expect_verdict(R"({"\u0062":1,"a":2})", true);
+  expect_verdict(R"({"b":1,"a":2,"b":3})", false);
+  // Each object's keys are its own: nesting and siblings do not collide,
+  // and an inner object's keys are gone once it closes.
+  expect_verdict(R"({"a":{"a":1},"b":2})", true);
+  expect_verdict(R"([{"a":1},{"a":1}])", true);
+  expect_verdict(R"({"a":{"b":1,"b":2}})", false);
+  expect_verdict(R"({"a":1,"b":{"c":1},"a":2})", false);
+  expect_verdict(R"({"c":{"a":1},"a":2,"b":{"a":3}})", true);
+
+  // Doubles past binary64's range either way are rejected, not rounded.
+  expect_verdict("1e400", false);
+  expect_verdict("-1e400", false);
+  expect_verdict("1e-400", false);
+  expect_verdict("1e308", true);
+  // Integers one past the 64-bit ranges fall through to double.
+  expect_verdict("-9223372036854775808", true);
+  expect_verdict("-9223372036854775809", true);
+  expect_verdict("18446744073709551615", true);
+  expect_verdict("18446744073709551616", true);
+  expect_verdict(std::string(400, '9'), false);
+
+  // The depth limit counts values: 64 nested arrays parse, 65 do not.
+  expect_verdict(nested_arrays(63), true);
+  expect_verdict(nested_arrays(64), true);
+  expect_verdict(nested_arrays(65), false);
+
+  // Surrogates: only a high one followed by a low one is a code point.
+  expect_verdict(R"("\ud83d\ude00")", true);
+  expect_verdict(R"("\ud800")", false);
+  expect_verdict(R"("\udc00")", false);
+  expect_verdict(R"("\ud800\u0041")", false);
+  expect_verdict(R"("\ud800x")", false);
+  expect_verdict(R"("\udc00\ud800")", false);
+
+  // JSON whitespace around the document is fine; anything else is not.
+  expect_verdict(" \t\r\n{\"a\" : [ 1 , 2 ] } \n", true);
+  expect_verdict("\v1", false);
+  expect_verdict("1\v", false);
+  expect_verdict(" ", false);
+  expect_verdict("", false);
+  expect_verdict("1 2", false);
 }
 
 }  // namespace
